@@ -10,14 +10,13 @@ in the data are detected from the derivative estimate itself and
 handled by restarting on fresh static eigendata.
 
 Layout: `flows` (benchmark and user-defined matrix flows), `densela`
-(static Jacobi eigensolver and bordered-system solvers), `formulas`
-(finite-difference catalog with exactness and stability checks), `znn`
-(the predictor), `harness` (metrics, reports, baselines, sweeps),
-`cli` (command-line front end).
+(static eigensolver and bordered-system solvers on `numpy.linalg`),
+`formulas` (finite-difference catalog with exactness and stability
+checks), `znn` (the predictor), `harness` (metrics, reports, baselines,
+sweeps), `cli` (command-line front end).
 """
 
-from .densela import (AsymmetryError, EigenDecomposition,
-                      JacobiConvergenceError, LinearSolveReport,
+from .densela import (AsymmetryError, EigenDecomposition, LinearSolveReport,
                       MatrixShapeError, fro_norm, solve, solve_augmented,
                       sym_eig, sym_eig_batch, two_norm)
 from .flows import (FlowFileError, InterpolationError, JumpSchedule,
@@ -38,9 +37,9 @@ from .znn import (EigenPairState, NumericalAbort, SolverConfig, StepEvent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetryError", "EigenDecomposition", "JacobiConvergenceError",
-    "LinearSolveReport", "MatrixShapeError", "fro_norm", "solve",
-    "solve_augmented", "sym_eig", "sym_eig_batch", "two_norm",
+    "AsymmetryError", "EigenDecomposition", "LinearSolveReport",
+    "MatrixShapeError", "fro_norm", "solve", "solve_augmented", "sym_eig",
+    "sym_eig_batch", "two_norm",
     "FlowFileError", "InterpolationError", "JumpSchedule", "MatrixFlow",
     "OrthogonalRandomizer", "SpanError", "builtin_flows",
     "conjugate", "constant_flow", "diag_linear_flow", "flow_from_file",

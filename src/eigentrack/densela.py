@@ -1,13 +1,13 @@
 """Dense linear algebra kernels used by the predictor.
 
-Three jobs: a symmetric eigensolver (cyclic threshold Jacobi) for startup
-and restart eigendata, a partial-pivoting LU solve for the bordered
-per-pair systems, and a minimum-norm least-squares fallback for the near
-singular ones.  The Jacobi and LU routines are written batch-first --
-operating on a stack of matrices along the leading axis -- because the
-harness decomposes tens of thousands of small matrices per scenario; the
-single-matrix entry points are the batch routines applied to a stack of
-one, so both paths produce identical floating-point results.
+Three jobs, each a LAPACK driver behind ``numpy.linalg``: a symmetric
+eigensolver (``eigh``, syevd) for startup and restart eigendata, a square
+solve (``solve``, gesv) for the bordered per-pair systems, and a
+minimum-norm least-squares fallback (``lstsq``, gelsd) for the near
+singular ones.  The eigensolver and the square solve take a whole stack
+of matrices along the leading axis in one call; numpy hands each member
+to LAPACK on its own, so a batch result equals the single-matrix one bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "LinearSolveReport",
     "MatrixShapeError",
     "AsymmetryError",
-    "JacobiConvergenceError",
     "sym_eig",
     "sym_eig_batch",
     "solve",
@@ -40,10 +39,6 @@ class AsymmetryError(ValueError):
     pass
 
 
-class JacobiConvergenceError(RuntimeError):
-    pass
-
-
 @dataclass
 class EigenDecomposition:
     """Eigenvalues sorted ascending; column i of ``eigenvectors`` pairs
@@ -59,9 +54,11 @@ class LinearSolveReport:
 
     ``method`` is "direct" (LU with partial pivoting) or "least-squares"
     (minimum-norm solution of the zero-row-augmented system).  ``rpr`` is
-    the reciprocal pivot ratio min|pivot|/max|pivot| for the direct path,
-    or the reciprocal singular-value ratio for the fallback -- a crude,
-    dimensionless conditioning indicator.
+    a dimensionless conditioning indicator in [0, 1].  On the direct path
+    it is the amplification ratio ||q|| / (||P||_F ||x||), at most 1
+    because ||P x|| <= ||P||_F ||x||, and tiny when a near-null direction
+    of P amplifies q (1 for q = 0).  On the fallback it is the reciprocal
+    singular-value ratio of P.
     """
 
     x: np.ndarray
@@ -77,89 +74,29 @@ def two_norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v, dtype=float).ravel()))
 
 
-_STOP_REL = 1e-14      # sweep until off(B) <= _STOP_REL * ||A||_F
 _ASYM_REL = 1e-12
-_MAX_SWEEPS = 40
-_PIVOT_REL = 1e-12     # smallest acceptable pivot, relative to ||P||_F
+# a direct solution whose amplification ratio falls below this is treated
+# as near singular; the ratio is invariant under scaling P and q together
+_RPR_MIN = 1e-12
 
 
-def _offdiag_norm(W):
-    # summed directly from the off-diagonal entries: the subtraction
-    # ||W||^2 - ||diag||^2 would drown a converged matrix's tiny true
-    # off-norm in cancellation noise of order eps*||W||^2
-    n = W.shape[1]
-    off = W.copy()
-    off[:, np.arange(n), np.arange(n)] = 0.0
-    return np.sqrt((off * off).sum(axis=(1, 2)))
-
-
-def sym_eig_batch(As, max_sweeps: int = _MAX_SWEEPS):
-    """Cyclic threshold Jacobi on a stack of symmetric matrices.
+def sym_eig_batch(As):
+    """Eigendecompose a stack of symmetric matrices.
 
     Returns ``(w, V)`` with ``w`` of shape (B, n) ascending per matrix and
     ``V`` of shape (B, n, n), columns sign-normalized so the entry of
-    largest magnitude in each eigenvector is positive.  All matrices are
-    swept in lockstep; one that has already converged receives identity
-    rotations, so each result is independent of what shares the stack.
+    largest magnitude in each eigenvector is positive.  Raises
+    ``numpy.linalg.LinAlgError`` when LAPACK does not converge.
     """
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise MatrixShapeError(f"expected a (B, n, n) stack, got {As.shape}")
-    B, n, _ = As.shape
     norms = np.sqrt((As * As).sum(axis=(1, 2)))
     asym = np.sqrt(((As - As.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2)))
     if np.any(asym > _ASYM_REL * norms):
         raise AsymmetryError("input is not symmetric to working tolerance")
 
-    work = As.copy()
-    V = np.zeros_like(work)
-    V[:, np.arange(n), np.arange(n)] = 1.0
-    stop = _STOP_REL * norms
-    # when every pivot is below this, the off-diagonal norm is below stop,
-    # so skipping them cannot stall convergence
-    skip = stop / (2.0 * n * n)
-
-    done = _offdiag_norm(work) <= stop
-    sweeps = 0
-    while not done.all():
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(
-                f"no convergence in {max_sweeps} sweeps; defective input?")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[:, p, q]
-                active = (~done) & (np.abs(apq) > skip)
-                if not active.any():
-                    continue
-                app = work[:, p, p]
-                aqq = work[:, q, q]
-                denom = np.where(active, apq, 1.0)
-                theta = (aqq - app) / (2.0 * denom)
-                t = np.where(theta >= 0, 1.0, -1.0) / (
-                    np.abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                c = np.where(active, c, 1.0)[:, None]
-                s = np.where(active, s, 0.0)[:, None]
-                rp = work[:, p, :].copy()
-                rq = work[:, q, :]
-                work[:, p, :] = c * rp - s * rq
-                work[:, q, :] = s * rp + c * rq
-                cp = work[:, :, p].copy()
-                cq = work[:, :, q]
-                work[:, :, p] = c * cp - s * cq
-                work[:, :, q] = s * cp + c * cq
-                vp = V[:, :, p].copy()
-                vq = V[:, :, q]
-                V[:, :, p] = c * vp - s * vq
-                V[:, :, q] = s * vp + c * vq
-        sweeps += 1
-        done = _offdiag_norm(work) <= stop
-
-    w = work[:, np.arange(n), np.arange(n)].copy()
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    w, V = np.linalg.eigh(As)
     # deterministic signs: largest-magnitude entry of each column positive
     peak = np.argmax(np.abs(V), axis=1)                      # (B, n)
     peak_vals = np.take_along_axis(V, peak[:, None, :], axis=1)[:, 0, :]
@@ -167,9 +104,9 @@ def sym_eig_batch(As, max_sweeps: int = _MAX_SWEEPS):
     return w, V
 
 
-def sym_eig(A, max_sweeps: int = _MAX_SWEEPS) -> EigenDecomposition:
+def sym_eig(A) -> EigenDecomposition:
     """Decompose one symmetric matrix; see sym_eig_batch."""
-    w, V = sym_eig_batch(np.asarray(A, dtype=float)[None], max_sweeps=max_sweeps)
+    w, V = sym_eig_batch(np.asarray(A, dtype=float)[None])
     return EigenDecomposition(eigenvalues=w[0], eigenvectors=V[0])
 
 
@@ -194,13 +131,25 @@ def solve_augmented(P, q) -> LinearSolveReport:
     return LinearSolveReport(x=x, method="least-squares", rpr=rpr)
 
 
-def solve_batch(Ps, qs, pivot_rel: float = _PIVOT_REL):
-    """Row-pivoted Gaussian elimination on a stack of square systems.
+def _solve_each(Ps, qs):
+    """Per-system direct solves; an exactly singular system yields NaN."""
+    X = np.full(qs.shape, np.nan)
+    for b in range(len(Ps)):
+        try:
+            X[b] = np.linalg.solve(Ps[b], qs[b])
+        except np.linalg.LinAlgError:
+            pass
+    return X
 
-    Forward-eliminates the augmented matrices [P | q] in lockstep, then
-    back-substitutes.  Any system whose smallest pivot falls to or below
-    ``pivot_rel * ||P||_F`` is handed to solve_augmented instead.  Returns
-    a list of LinearSolveReport, one per system.
+
+def solve_batch(Ps, qs):
+    """Solve a stack of square systems P x = q in one LAPACK call.
+
+    A system is near singular when LAPACK finds it exactly singular, when
+    its solution is not finite, or when its amplification ratio
+    ||q|| / (||P||_F ||x||) is below 1e-12; such a system is handed to
+    solve_augmented instead.  Returns a list of LinearSolveReport, one per
+    system.
     """
     Ps = np.asarray(Ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
@@ -210,53 +159,23 @@ def solve_batch(Ps, qs, pivot_rel: float = _PIVOT_REL):
     if qs.shape != (B, m):
         raise MatrixShapeError(f"rhs shape {qs.shape} does not match {Ps.shape}")
 
-    aug = np.concatenate([Ps, qs[:, :, None]], axis=2)
-    thresh = pivot_rel * np.sqrt((Ps * Ps).sum(axis=(1, 2)))
-    flagged = np.zeros(B, dtype=bool)
-    minpiv = np.full(B, np.inf)
-    maxpiv = np.zeros(B)
-    safe_diag = np.empty((B, m))
-    bidx = np.arange(B)
-
-    for k in range(m):
-        rel = np.argmax(np.abs(aug[:, k:, k]), axis=1)
-        src = k + rel
-        rows_k = aug[bidx, k, :].copy()
-        aug[bidx, k, :] = aug[bidx, src, :]
-        aug[bidx, src, :] = rows_k
-        piv = aug[:, k, k]
-        apiv = np.abs(piv)
-        flagged |= apiv <= thresh
-        minpiv = np.minimum(minpiv, apiv)
-        maxpiv = np.maximum(maxpiv, apiv)
-        safe = np.where(apiv <= thresh, 1.0, piv)
-        safe_diag[:, k] = safe
-        if k + 1 < m:
-            mult = aug[:, k + 1:, k] / safe[:, None]
-            aug[:, k + 1:, k:] -= mult[:, :, None] * aug[:, k, None, k:]
-
-    x = np.zeros((B, m))
-    for k in range(m - 1, -1, -1):
-        acc = aug[:, k, m]
-        if k + 1 < m:
-            acc = acc - (aug[:, k, k + 1:m] * x[:, k + 1:]).sum(axis=1)
-        x[:, k] = acc / safe_diag[:, k]
-
-    with np.errstate(invalid="ignore"):
-        rpr = np.where(maxpiv > 0, minpiv / maxpiv, 0.0)
-
-    reports = []
-    for b in range(B):
-        if flagged[b]:
-            reports.append(solve_augmented(Ps[b], qs[b]))
-        else:
-            reports.append(LinearSolveReport(x=x[b], method="direct",
-                                             rpr=float(rpr[b])))
-    return reports
+    try:
+        X = np.linalg.solve(Ps, qs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # numpy fails the whole stack when one member is singular
+        X = _solve_each(Ps, qs)
+    q_norm = np.sqrt((qs * qs).sum(axis=1))
+    amp = np.sqrt((Ps * Ps).sum(axis=(1, 2))) * np.sqrt((X * X).sum(axis=1))
+    # compared as a product: q = 0 with x = 0 passes, a NaN or inf x fails
+    direct = q_norm >= _RPR_MIN * amp
+    rpr = np.divide(q_norm, amp, out=np.ones(B), where=direct & (q_norm > 0))
+    return [LinearSolveReport(x=X[b], method="direct", rpr=float(rpr[b]))
+            if direct[b] else solve_augmented(Ps[b], qs[b])
+            for b in range(B)]
 
 
 def solve(P, q) -> LinearSolveReport:
-    """Solve one square system; see solve_batch for the pivoting rules."""
+    """Solve one square system; see solve_batch for the fallback rule."""
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
     m = P.shape[0]

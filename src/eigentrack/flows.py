@@ -65,7 +65,11 @@ class MatrixFlow:
         if not (lo <= t <= hi):
             raise SpanError(
                 f"t={t} outside span [{lo}, {hi}] of flow {self.label!r}")
-        return self.sampler(t)
+        M = self.sampler(t)
+        if not np.isfinite(M).all():
+            raise ValueError(
+                f"flow {self.label!r} has a non-finite entry at t={t}")
+        return M
 
     __call__ = sample
 
@@ -225,8 +229,9 @@ def flow_from_file(path) -> MatrixFlow:
     Format: a header line ``n=<dim> tau=<gap> t0=<start>`` followed by one
     block per sample -- n lines of n space-separated numbers -- with blank
     lines between blocks.  The flow is defined only at the recorded
-    instants; queries in between raise InterpolationError.  Samples whose
-    asymmetry exceeds 1e-12 (max entry difference) are rejected outright.
+    instants; queries in between raise InterpolationError.  Samples with a
+    NaN or infinite entry, or whose asymmetry exceeds 1e-12 (max entry
+    difference), are rejected outright.
     """
     with open(path) as fh:
         text = fh.read()
@@ -269,6 +274,9 @@ def flow_from_file(path) -> MatrixFlow:
         if M.shape != (n, n):
             raise FlowFileError(
                 f"sample block {len(samples)} is {M.shape}, expected ({n}, {n})")
+        if not np.isfinite(M).all():
+            raise FlowFileError(
+                f"sample block {len(samples)} has a non-finite entry")
         if np.abs(M - M.T).max() > 1e-12:
             raise FlowFileError(
                 f"sample block {len(samples)} is asymmetric beyond tolerance")

@@ -76,6 +76,8 @@ class BackwardFormula:
     coeffs: tuple
     denom: int
     order: int
+    # coeffs lowered to floats once; derivative_estimate runs every step
+    coeffs_float: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def taps(self) -> int:
@@ -90,6 +92,8 @@ class BackwardFormula:
         if got != self.order:
             raise FormulaError(
                 f"{self.name}: declared order {self.order}, derived {got}")
+        object.__setattr__(self, "coeffs_float",
+                           tuple(float(Fraction(c)) for c in self.coeffs))
 
     def weights_float(self):
         return np.array([float(Fraction(c) / self.denom) for c in self.coeffs])
@@ -226,8 +230,8 @@ def derivative_estimate(f: BackwardFormula, history, tau: float):
         raise FormulaError(
             f"{f.name} needs {f.taps} samples, got {len(history)}")
     acc = np.zeros_like(np.asarray(history[0], dtype=float))
-    for c, H in zip(f.coeffs, history):
-        acc += float(Fraction(c)) * np.asarray(H, dtype=float)
+    for c, H in zip(f.coeffs_float, history):
+        acc += c * np.asarray(H, dtype=float)
     return acc / (f.denom * tau)
 
 

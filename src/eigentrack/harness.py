@@ -198,6 +198,8 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     # segment boundaries: start of run and each restart instant
     kinds = np.asarray(traj.kind)
     bounds = [0] + list(np.flatnonzero(kinds == "restart-triggered")) + [K1]
+    if K1 == 0:        # aborted before the first instant was recorded
+        bounds = []
     segments = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         seg_mask = mask.copy()

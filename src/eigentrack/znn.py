@@ -359,7 +359,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         samples = np.stack([flow.sample(times[k]) for k in range(k0, last + 1)])
         try:
             w_all, V_all = sym_eig_batch(samples)
-        except densela.JacobiConvergenceError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NumericalAbort(
                 f"startup eigensolver failed at t={times[k0]}: {exc}",
                 partial(k0 - 1)) from exc

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from eigentrack import cli
+from eigentrack import cli, znn
 from eigentrack.flows import diag_linear_flow, write_flow_file
 
 
@@ -155,6 +155,22 @@ def test_run_abort_writes_partial(tmp_path, capsys):
     assert len(lines) > 1                     # partial trajectory on disk
 
 
+def test_run_abort_at_first_instant(tmp_path, capsys, monkeypatch):
+    def failing_eigensolver(As):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(znn, "sym_eig_batch", failing_eigensolver)
+    out = str(tmp_path) + "/"
+    rc = run_cli("run", "--flow", "constant3", "--tf", "0.1",
+                 "--output", out)
+    assert rc == 3
+    assert "numerical abort" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert "did not converge" in payload["aborted"]
+    assert payload["summary"]["instants"] == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1                    # header only
+
+
 # --------------------------------------------------------------------------
 # configuration errors -> exit 2
 
@@ -173,6 +189,16 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     rc = run_cli(*argv, "--output", str(tmp_path) + "/")
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_non_finite_flow_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.flow"
+    path.write_text("n=2 tau=0.01 t0=0\n1 0\n0 1\n\n1 nan\nnan 1\n")
+    rc = run_cli("run", "--flow", str(path), "--tf", "0.01",
+                 "--output", str(tmp_path) + "/")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sample block 1 has a non-finite entry" in err
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):

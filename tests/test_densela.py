@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from eigentrack import densela
-from eigentrack.densela import (AsymmetryError, JacobiConvergenceError,
-                                MatrixShapeError, solve, solve_augmented,
-                                solve_batch, sym_eig, sym_eig_batch)
+from eigentrack.densela import (AsymmetryError, MatrixShapeError, solve,
+                                solve_augmented, solve_batch, sym_eig,
+                                sym_eig_batch)
 from eigentrack.flows import builtin_flows
 
 
@@ -135,6 +135,31 @@ def test_solve_singular_inconsistent_rhs():
     rep = solve(np.diag([1.0, 0.0]), np.array([3.0, 5.0]))
     assert rep.method == "least-squares"
     assert rep.x == pytest.approx([3.0, 0.0], abs=1e-12)
+
+
+def test_solve_near_singular_takes_least_squares():
+    # not exactly singular, so LU succeeds; the amplification ratio
+    # ||q|| / (||P||_F ||x||) ~ 1e-14 is what sends it to the fallback
+    P = np.diag([1.0, 1e-14])
+    q = np.array([1.0, 1.0])
+    rep = solve(P, q)
+    assert rep.method == "least-squares"
+    assert rep.x == pytest.approx(
+        np.linalg.lstsq(P, q, rcond=None)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_solve_fallback_choice_is_scale_free(rng, scale):
+    generic = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    near = np.diag([1.0, 2.0, 3.0, 1e-14])
+    Ps = np.stack([generic, near, generic.T @ generic])
+    qs = rng.standard_normal((3, 4))
+    reports = solve_batch(scale * Ps, scale * qs)
+    assert [r.method for r in reports] == ["direct", "least-squares",
+                                           "direct"]
+    for rep in reports:
+        if rep.method == "direct":
+            assert 0.0 < rep.rpr <= 1.0
 
 
 def test_solve_augmented_zero_rows():

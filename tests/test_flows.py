@@ -171,3 +171,25 @@ def test_flow_file_asymmetric_block(tmp_path):
     path.write_text("n=2 tau=0.01 t0=0\n1 0.5\n0 1\n")
     with pytest.raises(FlowFileError):
         flow_from_file(path)
+
+
+@pytest.mark.parametrize("entry", [(0, 1, "nan"), (1, 0, "nan"),
+                                   (1, 1, "inf")])
+def test_flow_file_non_finite_rejected(tmp_path, entry):
+    # the upper-triangle NaN would pass the asymmetry check; the lower
+    # one would be dropped by mirroring the upper triangle
+    i, j, value = entry
+    rows = [["1", "0"], ["0", "1"]]
+    rows[i][j] = value
+    block = "\n".join(" ".join(r) for r in rows)
+    path = tmp_path / "bad.flow"
+    path.write_text(f"n=2 tau=0.01 t0=0\n1 0\n0 1\n\n{block}\n")
+    with pytest.raises(FlowFileError, match="sample block 1"):
+        flow_from_file(path)
+
+
+def test_sample_rejects_non_finite():
+    flow = et.MatrixFlow(2, lambda t: np.array([[1.0, np.nan],
+                                                [np.nan, 1.0]]), label="bad")
+    with pytest.raises(ValueError, match="non-finite"):
+        flow.sample(0.0)

@@ -12,7 +12,9 @@ orthogonal similarity without touching the spectrum.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,9 +48,16 @@ class InterpolationError(ValueError):
     """File-backed flows refuse queries between recorded instants."""
 
 
+@lru_cache(maxsize=None)
+def _upper_mask(n: int) -> np.ndarray:
+    """Read-only boolean mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    upper = np.triu(M, 1)
-    return upper + upper.T + np.diag(np.diag(M))
+    return np.where(_upper_mask(M.shape[0]), M, M.T)
 
 
 @dataclass
@@ -197,7 +206,7 @@ def with_jumps(base: MatrixFlow, alt: MatrixFlow,
     hi = min(base.span[1], alt.span[1])
 
     def sampler(t: float) -> np.ndarray:
-        count = sum(1 for s in times if t >= s)
+        count = bisect_right(times, t)      # switches at or before t
         active = base if count % 2 == 0 else alt
         return active.sampler(t)
 

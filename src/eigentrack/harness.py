@@ -13,10 +13,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .densela import fro_norm, sym_eig_batch
+from .densela import fro_norm, residual
 from .flows import MatrixFlow
 from .formulas import catalog, derivative_estimate
-from .znn import SolverConfig, Trajectory, _match_pairs, run
+from .znn import SolverConfig, Trajectory, _static_blocks, run
 
 __all__ = [
     "residual",
@@ -38,38 +38,6 @@ _TRANSIENT_PAD = 10
 _GLITCH_FACTOR = 1000.0
 # relative residuals at or below this are numerically exact, never glitches
 _GLITCH_FLOOR = 1e-13
-
-
-def residual(A, z, metric: str = "pair"):
-    """Relative eigen-equation defect of stacked vectors against A.
-
-    ``z`` may be a single stacked vector (n+1,) or a block (n, n+1) with
-    one row per pair.  With ``metric="pair"`` the result is
-    ||A x - lambda x||_2 / ||A||_F per pair; ``metric="matrix"`` collapses
-    the block to ||A V - V D||_F / (||A||_F ||V||_F).
-    """
-    A = np.asarray(A, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = A.shape[0]
-    single = (z.ndim == 1)
-    Zb = z[None, :] if single else z
-    if Zb.shape[1] != n + 1:
-        raise ValueError(f"stacked vectors must have {n + 1} entries")
-    X = Zb[:, :n]
-    lam = Zb[:, n]
-    R = X @ A.T - lam[:, None] * X
-    a_nrm = fro_norm(A)
-    if a_nrm == 0.0:
-        a_nrm = 1.0
-    if metric == "pair":
-        out = np.sqrt((R * R).sum(axis=1)) / a_nrm
-        return float(out[0]) if single else out
-    if metric == "matrix":
-        v_nrm = np.sqrt((X * X).sum())
-        if v_nrm == 0.0:
-            v_nrm = 1.0
-        return float(np.sqrt((R * R).sum()) / (a_nrm * v_nrm))
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def orth_deviation(block) -> float:
@@ -192,8 +160,7 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
         orth[k] = orth_deviation(traj.z[k])
     mask, windows = steady_mask(traj, res)
 
-    restarts = [(float(e.t), float(e.da_norm))
-                for e in traj.events if e.kind == "restart-triggered"]
+    restarts = [(float(e.t), e.da_norm) for e in traj.restart_events()]
 
     # segment boundaries: start of run and each restart instant
     kinds = np.asarray(traj.kind)
@@ -270,32 +237,17 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = 0.0,
         raise ValueError("span shorter than one sampling gap")
     times = t0 + tau * np.arange(K + 1)
     samples = np.stack([flow.sample(float(t)) for t in times])
-    w_all, V_all = sym_eig_batch(samples)
-    n = flow.n
-    res = np.empty((K, n))
-    lam, X = w_all[0], V_all[0].T.copy()
-    block = np.concatenate([X, lam[:, None]], axis=1)
-    res[0] = residual(samples[1], block, metric="pair")
-    for k in range(1, K):
-        lam, X = _match_pairs(lam, X, w_all[k], V_all[k])
-        block = np.concatenate([X, lam[:, None]], axis=1)
-        res[k] = residual(samples[k + 1], block, metric="pair")
+    blocks = _static_blocks(samples[:-1])
+    res = np.stack([residual(A, block)
+                    for A, block in zip(samples[1:], blocks)])
     summary = {
         "median_residual": float(np.median(res)),
         "max_residual": float(res.max()),
         "metric": "pair",
     }
     if metric == "matrix":
-        vals = np.empty(K)
-        lam, X = w_all[0], V_all[0].T.copy()
-        vals[0] = residual(samples[1],
-                           np.concatenate([X, lam[:, None]], axis=1),
-                           metric="matrix")
-        for k in range(1, K):
-            lam, X = _match_pairs(lam, X, w_all[k], V_all[k])
-            vals[k] = residual(samples[k + 1],
-                               np.concatenate([X, lam[:, None]], axis=1),
-                               metric="matrix")
+        vals = np.array([residual(A, block, metric="matrix")
+                         for A, block in zip(samples[1:], blocks)])
         summary = {"median_residual": float(np.median(vals)),
                    "max_residual": float(vals.max()), "metric": "matrix"}
     return BaselineReport(times=times[1:], residuals=res, summary=summary)

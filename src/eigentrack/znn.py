@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import densela
-from .densela import fro_norm, sym_eig_batch, solve, solve_batch
+from .densela import fro_norm, residual, sym_eig_batch, solve_batch
 from .flows import MatrixFlow
 from .formulas import PRESETS, catalog, derivative_estimate
 
@@ -141,7 +141,12 @@ class StepEvent:
 
 @dataclass
 class Trajectory:
-    """Full run output: per-instant stacked vectors plus tagged events."""
+    """Full run output: per-instant stacked vectors and diagnostics.
+
+    Each per-instant fact is stored once, in the arrays; ``events`` and
+    ``restart_events()`` are derived from them.  A restart's spike is the
+    derivative norm logged at its instant.
+    """
 
     times: np.ndarray              # (K+1,)
     z: np.ndarray                  # (K+1, n, n+1)
@@ -149,15 +154,27 @@ class Trajectory:
     residuals: np.ndarray          # (K+1, n)
     solve_methods: list            # per instant: tuple of per-pair methods
     da_norms: np.ndarray           # (K+1,), NaN where no estimate exists
-    events: List[StepEvent]
     config: SolverConfig
 
     @property
     def n(self) -> int:
         return self.z.shape[1]
 
+    def _event(self, k: int) -> StepEvent:
+        kind = self.kind[k]
+        return StepEvent(
+            t=self.times[k], kind=kind, residuals=self.residuals[k],
+            solve_methods=self.solve_methods[k],
+            da_norm=(float(self.da_norms[k]) if kind == "restart-triggered"
+                     else float("nan")))
+
+    @property
+    def events(self) -> List[StepEvent]:
+        return [self._event(k) for k in range(len(self.kind))]
+
     def restart_events(self) -> List[StepEvent]:
-        return [e for e in self.events if e.kind == "restart-triggered"]
+        return [self._event(k) for k, kind in enumerate(self.kind)
+                if kind == "restart-triggered"]
 
 
 def assemble(A, dA, z, eta: float, mu: float):
@@ -177,38 +194,61 @@ def assemble(A, dA, z, eta: float, mu: float):
     dA = np.asarray(dA, dtype=float)
     if dA.shape != (n, n):
         raise densela.MatrixShapeError(f"dA must match A, got {dA.shape}")
-    x, lam = z[:n], z[n]
-    shifted = A - lam * np.eye(n)
-    P = np.zeros((n + 1, n + 1))
-    P[:n, :n] = shifted
-    P[:n, n] = -x
-    P[n, :n] = -x
-    q = np.zeros(n + 1)
-    q[:n] = (-eta * shifted - dA) @ x
-    q[n] = 0.5 * mu * (x @ x - 1.0)
-    return P, q
+    Ps, qs = _assemble_batch(A, dA, z[None], eta, mu)
+    return Ps[0], qs[0]
 
 
-def _assemble_batch(A, dA, Z, eta: float, mu: float):
-    """Vectorized assemble for all pairs at one instant.
+def _assemble_batch(A, dA, Z, eta: float, mu: float, Ps=None, qs=None):
+    """Bordered systems for all pairs at one instant.
 
-    Z has shape (n_pairs, n+1); returns stacked (Ps, qs).
+    Z has shape (n_pairs, n+1); returns stacked (Ps, qs).  Buffers from an
+    earlier call may be passed back in: each call overwrites the A -
+    lambda*I block and the -x border of Ps (its corner stays 0) and all
+    of qs.
     """
     n = A.shape[0]
-    npairs = Z.shape[0]
     X = Z[:, :n]
     lam = Z[:, n]
-    Ps = np.zeros((npairs, n + 1, n + 1))
-    Ps[:, :n, :n] = A[None, :, :]
-    idx = np.arange(n)
-    Ps[:, idx, idx] -= lam[:, None]
-    Ps[:, :n, n] = -X
-    Ps[:, n, :n] = -X
+    if Ps is None:
+        Ps, qs = np.zeros((len(Z), n + 1, n + 1)), np.empty((len(Z), n + 1))
+    Ps[:, :n, :n] = A
+    # the block's diagonal as a strided view of the contiguous stack
+    Ps.reshape(len(Z), -1)[:, :n * (n + 2):n + 2] -= lam[:, None]
+    np.negative(X, out=Ps[:, :n, n])
+    Ps[:, n, :n] = Ps[:, :n, n]
     AX = X @ A.T
-    qs = np.zeros((npairs, n + 1))
     qs[:, :n] = -eta * (AX - lam[:, None] * X) - X @ dA.T
-    qs[:, n] = 0.5 * mu * ((X * X).sum(axis=1) - 1.0)
+    qs[:, n] = 0.5 * mu * (np.add.reduce(X * X, axis=1) - 1.0)
     return Ps, qs
+
+
+class _Predictor:
+    """The one prediction kernel: assemble, solve, recurse, for all pairs.
+
+    Holds the recursion weights as floats and the bordered buffers, which
+    are allocated once and overwritten on every call.
+    """
+
+    def __init__(self, config: SolverConfig, n: int, npairs: int):
+        rec = config.recursion_rule
+        self.eta, self.mu = config.eta, config.mu
+        self.tau_c = config.tau * rec.c_float()
+        self.a = rec.a_float()
+        self.Ps = np.zeros((npairs, n + 1, n + 1))
+        self.qs = np.empty((npairs, n + 1))
+
+    def __call__(self, A, dA, zhist, out):
+        """Write z_{k+1} into ``out``; return the solve report.
+
+        ``zhist[j]`` is the (n_pairs, n+1) block j instants back, newest
+        first, with at least as many entries as the recursion has taps.
+        """
+        _assemble_batch(A, dA, zhist[0], self.eta, self.mu, self.Ps, self.qs)
+        sol = solve_batch(self.Ps, self.qs)
+        np.multiply(self.tau_c, sol.x, out=out)
+        for j, a in enumerate(self.a):
+            out += a * zhist[j]
+        return sol
 
 
 def step(state: EigenPairState, a_history, config: SolverConfig):
@@ -217,20 +257,17 @@ def step(state: EigenPairState, a_history, config: SolverConfig):
     ``a_history`` lists the matrix samples newest first, at least as many
     as the derivative formula taps.  The state buffer must be full.
     """
-    rec = config.recursion_rule
-    der = config.derivative_rule
-    if len(state.zbuf) < rec.taps:
+    taps = config.recursion_rule.taps
+    if len(state.zbuf) < taps:
         raise ValueError(
             f"state buffer holds {len(state.zbuf)} vectors, "
-            f"recursion needs {rec.taps}")
-    dA = derivative_estimate(der, a_history, config.tau)
-    P, q = assemble(a_history[0], dA, state.zbuf[-1], config.eta, config.mu)
-    rep = solve(P, q)
-    z_next = config.tau * rec.c_float() * rep.x
-    af = rec.a_float()
-    for j in range(rec.taps):
-        z_next = z_next + af[j] * state.zbuf[-1 - j]
-    return z_next
+            f"recursion needs {taps}")
+    dA = derivative_estimate(config.derivative_rule, a_history, config.tau)
+    zhist = np.stack(state.zbuf[::-1])[:, None, :]   # newest first, 1 pair
+    m = zhist.shape[2]
+    z_next = np.empty((1, m))
+    _Predictor(config, m - 1, 1)(a_history[0], dA, zhist, z_next)
+    return z_next[0]
 
 
 def _match_pairs(lam_prev, X_prev, w_new, V_new):
@@ -265,50 +302,46 @@ def _match_pairs(lam_prev, X_prev, w_new, V_new):
     return lam_out, X_out
 
 
+def _static_blocks(samples):
+    """Matched static eigendata for consecutive samples, (m, n, n+1).
+
+    Pairs are ordered by ascending eigenvalue at the first sample; at
+    each later one the fresh decomposition is matched to the previous one
+    for continuity and eigenvector signs are aligned (nonnegative
+    consecutive inner product).  Row i of a block is pair i's [x; lambda].
+    """
+    w_all, V_all = sym_eig_batch(samples)
+    m, n = w_all.shape
+    blocks = np.empty((m, n, n + 1))
+    lam, X = w_all[0], V_all[0].T.copy()   # row i = eigenvector of pair i
+    for j in range(m):
+        if j > 0:
+            lam, X = _match_pairs(lam, X, w_all[j], V_all[j])
+        blocks[j, :, :n] = X
+        blocks[j, :, n] = lam
+    return blocks
+
+
 def startup(flow: MatrixFlow, t_start: float, config: SolverConfig):
     """Static eigendata for the first s* instants, matched and aligned.
 
-    Returns n EigenPairStates with full buffers.  Pairs are ordered by
-    ascending eigenvalue at the first instant; at each later instant the
-    fresh decomposition is matched to the previous one for continuity and
-    eigenvector signs are aligned (nonnegative consecutive inner product).
+    Returns n EigenPairStates with full buffers, filled from
+    ``_static_blocks`` of the samples at t_start, t_start + tau, ...
     """
     s_star = config.s_star
-    n = flow.n
-    samples = np.stack([flow.sample(t_start + j * config.tau)
-                        for j in range(s_star)])
-    w_all, V_all = sym_eig_batch(samples)
-    states = [EigenPairState(index=i, capacity=s_star) for i in range(n)]
-    lam = w_all[0]
-    X = V_all[0].T.copy()            # row i = eigenvector of pair i
-    for i, st in enumerate(states):
-        st.push(np.append(X[i], lam[i]))
-    for k in range(1, s_star):
-        lam, X = _match_pairs(lam, X, w_all[k], V_all[k])
-        for i, st in enumerate(states):
-            st.push(np.append(X[i], lam[i]))
+    blocks = _static_blocks(np.stack([flow.sample(t_start + j * config.tau)
+                                      for j in range(s_star)]))
+    states = [EigenPairState(index=i, capacity=s_star)
+              for i in range(flow.n)]
+    for block in blocks:
+        for st, z in zip(states, block):
+            st.push(z)
     return states
 
 
 def detect_jump(da_estimate, threshold: float) -> bool:
     """True when the derivative estimate is too large to be smooth data."""
     return fro_norm(da_estimate) > threshold
-
-
-def _pair_residuals(A, Z):
-    """Per-pair ||A x - lambda x||_2 / ||A||_F for stacked vectors Z.
-
-    Same arithmetic, operation for operation, as the harness residual
-    metric, so logged and recomputed values agree exactly.
-    """
-    n = A.shape[0]
-    X = Z[:, :n]
-    lam = Z[:, n]
-    R = X @ A.T - lam[:, None] * X
-    nrm = fro_norm(A)
-    if nrm == 0.0:
-        nrm = 1.0
-    return np.sqrt((R * R).sum(axis=1)) / nrm
 
 
 def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
@@ -319,10 +352,11 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     sample history) and the recursion emits the next stacked vectors.  A
     derivative estimate above the jump threshold discards the in-flight
     prediction and restarts with fresh static eigendata at the offending
-    instant; predictions resume once the buffers refill.  Non-finite
-    values or solver failures abort with the partial trajectory attached.
+    instant; predictions resume once the buffers refill.  The estimate
+    made for the jump test at an instant is the one the next prediction
+    uses.  Non-finite values or solver failures abort with the partial
+    trajectory attached.
     """
-    rec = config.recursion_rule
     der = config.derivative_rule
     s_star = config.s_star
     n = flow.n
@@ -337,103 +371,65 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     residuals = np.full((K + 1, n), np.nan)
     solve_methods = [("",) * n] * (K + 1)
     da_norms = np.full(K + 1, np.nan)
-    events: List[StepEvent] = []
-
-    af = rec.a_float()
-    cf = rec.c_float()
+    predict = _Predictor(config, n, n)
     a_hist: List[np.ndarray] = []    # newest first, at most der.taps
-    zbuf: List[np.ndarray] = []      # newest last, at most rec.taps; (n, n+1)
+    dA = None                        # estimate at the newest instant
 
     def partial(upto: int) -> Trajectory:
         return Trajectory(times=times[:upto + 1], z=Z[:upto + 1],
                           kind=kind[:upto + 1],
                           residuals=residuals[:upto + 1],
                           solve_methods=solve_methods[:upto + 1],
-                          da_norms=da_norms[:upto + 1],
-                          events=events, config=config)
+                          da_norms=da_norms[:upto + 1], config=config)
 
-    def do_startup(k0: int, trigger_da):
+    def do_startup(k0: int, first_kind: str):
+        nonlocal dA
         a_hist.clear()
-        zbuf.clear()
         last = min(k0 + s_star - 1, K)   # clip when a jump lands near tf
         samples = np.stack([flow.sample(times[k]) for k in range(k0, last + 1)])
         try:
-            w_all, V_all = sym_eig_batch(samples)
+            Z[k0:last + 1] = _static_blocks(samples)
         except np.linalg.LinAlgError as exc:
             raise NumericalAbort(
                 f"startup eigensolver failed at t={times[k0]}: {exc}",
                 partial(k0 - 1)) from exc
-        lam, X = w_all[0], V_all[0].T.copy()
         for j, k in enumerate(range(k0, last + 1)):
-            A_k = samples[j]
-            if j > 0:
-                lam, X = _match_pairs(lam, X, w_all[j], V_all[j])
-            block = np.concatenate([X, lam[:, None]], axis=1)
-            Z[k] = block
-            kind[k] = ("restart-triggered"
-                       if (j == 0 and trigger_da is not None) else "startup")
-            residuals[k] = _pair_residuals(A_k, block)
+            kind[k] = first_kind if j == 0 else "startup"
+            residuals[k] = residual(samples[j], Z[k])
             solve_methods[k] = ("static",) * n
-            a_hist.insert(0, A_k)
+            a_hist.insert(0, samples[j])
             if len(a_hist) > der.taps:
                 a_hist.pop()
-            zbuf.append(block)
-            if len(zbuf) > rec.taps:
-                zbuf.pop(0)
-            if len(a_hist) >= der.taps:
-                est = derivative_estimate(der, a_hist, tau)
-                da_norms[k] = fro_norm(est)
-            events.append(StepEvent(
-                t=times[k], kind=kind[k], residuals=residuals[k].copy(),
-                solve_methods=solve_methods[k],
-                da_norm=(trigger_da if (j == 0 and trigger_da is not None)
-                         else float("nan"))))
+            if len(a_hist) == der.taps:
+                dA = derivative_estimate(der, a_hist, tau)
+                da_norms[k] = fro_norm(dA)
         return last
 
-    k = do_startup(0, None)
+    k = do_startup(0, "startup")
     while k < K:
         # prediction for the next instant, from data up to t_k only
-        dA = derivative_estimate(der, a_hist, tau)
-        Ps, qs = _assemble_batch(a_hist[0], dA, zbuf[-1], config.eta,
-                                 config.mu)
+        knew = k + 1
         try:
-            reports = solve_batch(Ps, qs)
+            sol = predict(a_hist[0], dA, Z[k::-1], Z[knew])
         except (densela.MatrixShapeError, np.linalg.LinAlgError) as exc:
             raise NumericalAbort(f"solve failed at step {k}: {exc}",
                                  partial(k)) from exc
-        Y = np.stack([r.x for r in reports])
-        methods = tuple(r.method for r in reports)
-        z_pred = tau * cf * Y
-        for j in range(rec.taps):
-            z_pred += af[j] * zbuf[-1 - j]
-
-        knew = k + 1
         A_new = flow.sample(times[knew])
-        hist_new = [A_new] + a_hist[:der.taps - 1]
-        est = derivative_estimate(der, hist_new, tau)
-        da = fro_norm(est)
+        a_hist.insert(0, A_new)      # the window is full once predicting
+        a_hist.pop()
+        dA = derivative_estimate(der, a_hist, tau)
+        da = fro_norm(dA)
         da_norms[knew] = da
-        if detect_jump(est, config.jump_threshold):
-            k = do_startup(knew, da)
+        if da > config.jump_threshold:     # detect_jump's rule
+            k = do_startup(knew, "restart-triggered")
             continue
-
-        if not np.isfinite(z_pred).all():
+        if not np.isfinite(Z[knew]).all():
             raise NumericalAbort(
                 f"non-finite prediction at t={times[knew]}", partial(k))
-        Z[knew] = z_pred
-        residuals[knew] = _pair_residuals(A_new, z_pred)
-        solve_methods[knew] = methods
-        events.append(StepEvent(t=times[knew], kind="predicted",
-                                residuals=residuals[knew].copy(),
-                                solve_methods=methods))
-        a_hist.insert(0, A_new)
-        if len(a_hist) > der.taps:
-            a_hist.pop()
-        zbuf.append(z_pred)
-        if len(zbuf) > rec.taps:
-            zbuf.pop(0)
+        residuals[knew] = residual(A_new, Z[knew])
+        solve_methods[knew] = sol.methods
         k = knew
 
     return Trajectory(times=times, z=Z, kind=kind, residuals=residuals,
                       solve_methods=solve_methods, da_norms=da_norms,
-                      events=events, config=config)
+                      config=config)

@@ -87,6 +87,15 @@ def test_asymmetric_input_rejected():
         sym_eig(M)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eig(np.array([[1.0, bad], [bad, 1.0]]))
+    stack = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, bad]])])
+    with pytest.raises(ValueError, match="matrix 1 "):
+        sym_eig_batch(stack)
+
+
 def test_bad_shapes_rejected():
     with pytest.raises(MatrixShapeError):
         sym_eig(np.ones((2, 3)))
@@ -192,6 +201,31 @@ def test_solve_batch_mixed_singular(rng):
     assert reports[0].x == pytest.approx(np.linalg.solve(good, np.ones(3)),
                                          rel=1e-9)
     assert reports[1].x == pytest.approx([2.0, 0.0, 0.0], abs=1e-12)
+
+
+def test_solve_batch_report_arrays(rng):
+    Ps = np.stack([rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+                   for _ in range(3)])
+    qs = rng.standard_normal((3, 4))
+    rep = solve_batch(Ps, qs)
+    assert rep.x.shape == (3, 4) and rep.rpr.shape == (3,)
+    assert len(rep) == 3
+    assert rep.methods == ("direct",) * 3
+    # an all-direct batch shares one label tuple per batch size
+    assert solve_batch(Ps[::-1], qs[::-1]).methods is rep.methods
+    for b, single in enumerate(rep):
+        assert np.array_equal(single.x, rep.x[b])
+        assert single.rpr == rep.rpr[b]
+
+
+def test_solve_batch_mixed_keeps_per_system_labels(rng):
+    good = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    bad = np.diag([1.0, 0.0, 2.0])
+    rep = solve_batch(np.stack([bad, good, bad]), np.ones((3, 3)))
+    assert rep.methods == ("least-squares", "direct", "least-squares")
+    assert np.array_equal(rep.x[1], np.linalg.solve(good, np.ones(3)))
+    assert rep.x[0] == pytest.approx([1.0, 0.0, 0.5], abs=1e-12)
+    assert rep.rpr[0] < 1e-12
 
 
 def test_solve_shape_errors():

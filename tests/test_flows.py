@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eigentrack as et
+from eigentrack import flows
 from eigentrack.flows import (FlowFileError, InterpolationError, JumpSchedule,
                               OrthogonalRandomizer, SpanError, builtin_flows,
                               conjugate, constant_flow, diag_linear_flow,
@@ -118,6 +119,16 @@ def test_with_jumps_toggles_half_open(pool):
     assert np.array_equal(flow.sample(1.5), alt.sample(1.5))
     assert np.array_equal(flow.sample(2.0), base.sample(2.0))
     assert np.array_equal(flow.sample(2.5), base.sample(2.5))
+
+
+def test_mirror_upper_copies_the_upper_triangle(rng):
+    M = rng.standard_normal((6, 6))
+    S = flows._mirror_upper(M)
+    assert np.array_equal(S, S.T)
+    assert np.array_equal(np.triu(S), np.triu(M))
+    # the cached mask is shared and cannot be written through
+    with pytest.raises(ValueError):
+        flows._upper_mask(6)[0, 0] = False
 
 
 def test_constant_and_diag_flows():

@@ -122,6 +122,21 @@ def test_step_underfull_buffer():
         step(state, [np.eye(2)] * 4, cfg)
 
 
+def test_step_is_the_run_kernel(smooth7):
+    # step() and run() share one prediction kernel: stepping a single pair
+    # from a run's own history reproduces the run's prediction
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=0.1)
+    traj = run(smooth7, cfg)
+    k = 10
+    hist = [smooth7.sample(traj.times[k - j]) for j in range(4)]
+    for i in range(7):
+        state = EigenPairState(index=i, capacity=cfg.s_star)
+        for j in range(cfg.s_star - 1, -1, -1):
+            state.push(traj.z[k - j, i])
+        z = step(state, hist, cfg)
+        assert np.allclose(z, traj.z[k + 1, i], rtol=0.0, atol=1e-13)
+
+
 # ------------------------------------------------------------------ startup
 
 def test_startup_ascending_and_full():
@@ -204,6 +219,38 @@ def test_run_restart_protocol():
     assert traj.residuals[k + cfg.s_star:].max() < 1e-3
 
 
+def test_run_events_are_derived_from_arrays():
+    pool = builtin_flows()
+    flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    traj = run(flow, cfg)
+    events = traj.events
+    assert len(events) == traj.times.size
+    for k, e in enumerate(events):
+        assert e.t == traj.times[k] and e.kind == traj.kind[k]
+        assert np.array_equal(e.residuals, traj.residuals[k])
+        assert e.solve_methods == traj.solve_methods[k]
+    (restart,) = traj.restart_events()
+    k = int(round(0.5 / cfg.tau))
+    # the spike is the derivative norm logged at the restart instant
+    assert restart.da_norm == traj.da_norms[k]
+    assert all(np.isnan(e.da_norm) for e in events
+               if e.kind != "restart-triggered")
+
+
+def test_run_mixed_fallback_batch():
+    # a double eigenvalue makes two bordered systems exactly singular every
+    # step; only those two pairs take the least-squares fallback
+    flow = constant_flow(np.diag([1.0, 1.0, 3.0]))
+    traj = run(flow, SolverConfig(tau=0.01, eta=1.0, tf=0.1))
+    predicted = [k for k, kd in enumerate(traj.kind) if kd == "predicted"]
+    assert predicted
+    for k in predicted:
+        assert traj.solve_methods[k] == ("least-squares", "least-squares",
+                                         "direct")
+    assert np.isfinite(traj.z).all()
+
+
 def test_run_constant_flow_is_a_fixed_point(smooth7):
     A0 = smooth7.sample(0.0)
     flow = constant_flow(A0, label="const7")
@@ -243,6 +290,9 @@ def test_run_aborts_on_divergence(smooth7):
     partial = info.value.trajectory
     assert partial.times.size < 401
     assert np.isfinite(partial.z).all()
+    # events of the partial trajectory cover exactly its instants
+    assert len(partial.events) == partial.times.size
+    assert [e.kind for e in partial.events] == partial.kind
 
 
 def test_run_rejects_span_overrun():

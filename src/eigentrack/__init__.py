@@ -12,13 +12,14 @@ handled by restarting on fresh static eigendata.
 Layout: `flows` (benchmark and user-defined matrix flows), `densela`
 (static eigensolver and bordered-system solvers on `numpy.linalg`),
 `formulas` (finite-difference catalog with exactness and stability
-checks), `znn` (the predictor), `harness` (metrics, reports, baselines,
-sweeps), `cli` (command-line front end).
+checks), `znn` (the predictor: a streaming `Tracker` and the `run`
+driver), `harness` (metrics, reports, baselines, sweeps), `cli`
+(command-line front end).
 """
 
 from .densela import (AsymmetryError, EigenDecomposition, LinearSolveReport,
                       MatrixShapeError, fro_norm, solve, solve_augmented,
-                      sym_eig, sym_eig_batch, two_norm)
+                      sym_eig, sym_eig_batch)
 from .flows import (FlowFileError, InterpolationError, JumpSchedule,
                     MatrixFlow, OrthogonalRandomizer, SpanError,
                     builtin_flows, conjugate, constant_flow,
@@ -31,15 +32,15 @@ from .formulas import (BackwardFormula, FormulaError, LookaheadRecursion,
 from .harness import (BaselineReport, RunReport, SweepReport, build_report,
                       convergence_sweep, derivative_trace, naive_baseline,
                       orth_deviation, residual, steady_mask, timed_run)
-from .znn import (EigenPairState, NumericalAbort, SolverConfig, StepEvent,
-                  Trajectory, assemble, detect_jump, run, startup, step)
+from .znn import (NumericalAbort, SolverConfig, StepEvent, Tracker,
+                  Trajectory, run)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetryError", "EigenDecomposition", "LinearSolveReport",
     "MatrixShapeError", "fro_norm", "solve", "solve_augmented", "sym_eig",
-    "sym_eig_batch", "two_norm",
+    "sym_eig_batch",
     "FlowFileError", "InterpolationError", "JumpSchedule", "MatrixFlow",
     "OrthogonalRandomizer", "SpanError", "builtin_flows",
     "conjugate", "constant_flow", "diag_linear_flow", "flow_from_file",
@@ -50,7 +51,7 @@ __all__ = [
     "BaselineReport", "RunReport", "SweepReport", "build_report",
     "convergence_sweep", "derivative_trace", "naive_baseline",
     "orth_deviation", "residual", "steady_mask", "timed_run",
-    "EigenPairState", "NumericalAbort", "SolverConfig", "StepEvent",
-    "Trajectory", "assemble", "detect_jump", "run", "startup", "step",
+    "NumericalAbort", "SolverConfig", "StepEvent", "Tracker", "Trajectory",
+    "run",
     "__version__",
 ]

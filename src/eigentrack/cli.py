@@ -230,20 +230,16 @@ def _write_trajectory_csv(path: str, traj) -> None:
     header = ("t,pair,lambda,"
               + ",".join(f"x_{i}" for i in range(1, n + 1))
               + ",residual,solve_method,event")
+    row = "%.17g,%d," + "%.17g," * (n + 2) + "%s,%s\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for k in range(traj.times.size):
-            t_txt = _g17(traj.times[k])
-            kind = traj.kind[k]
+            t, kind = traj.times[k], traj.kind[k]
             methods = traj.solve_methods[k]
-            for i in range(n):
-                x = traj.z[k, i, :n]
-                row = [t_txt, str(i + 1), _g17(traj.z[k, i, n])]
-                row.extend(_g17(v) for v in x)
-                row.append(_g17(traj.residuals[k, i]))
-                row.append(methods[i])
-                row.append(kind)
-                fh.write(",".join(row) + "\n")
+            res = traj.residuals[k].tolist()
+            for i, z in enumerate(traj.z[k].tolist()):
+                fh.write(row % (t, i + 1, z[n], *z[:n], res[i], methods[i],
+                                kind))
 
 
 def _write_json(path: str, payload: dict) -> None:

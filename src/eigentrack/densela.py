@@ -30,7 +30,6 @@ __all__ = [
     "solve_batch",
     "solve_augmented",
     "fro_norm",
-    "two_norm",
     "residual",
 ]
 
@@ -104,10 +103,6 @@ def fro_norm(M) -> float:
     # numpy.linalg.norm's own arithmetic for ord=None, minus its dispatch
     v = np.asarray(M, dtype=float).ravel(order="K")
     return math.sqrt(v.dot(v))
-
-
-def two_norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=float).ravel()))
 
 
 def residual(A, z, metric: str = "pair"):

@@ -8,7 +8,7 @@ a report doubles as a cross-check of the run itself.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,15 +132,6 @@ class RunReport:
         return self.times.size
 
 
-def _config_echo(config: SolverConfig) -> dict:
-    return {
-        "tau": config.tau, "eta": config.eta, "mu": config.mu,
-        "recursion": config.recursion, "derivative": config.derivative,
-        "jump_threshold": config.jump_threshold,
-        "t0": config.t0, "tf": config.tf,
-    }
-
-
 def build_report(flow: MatrixFlow, traj: Trajectory,
                  elapsed: Optional[float] = None,
                  metric: str = "pair") -> RunReport:
@@ -154,10 +145,13 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     n = traj.n
     res = np.empty((K1, n))
     orth = np.empty(K1)
+    mres = np.empty(K1)
     for k in range(K1):
         A_k = flow.sample(float(traj.times[k]))
         res[k] = residual(A_k, traj.z[k], metric="pair")
         orth[k] = orth_deviation(traj.z[k])
+        if metric == "matrix":
+            mres[k] = residual(A_k, traj.z[k], metric="matrix")
     mask, windows = steady_mask(traj, res)
 
     restarts = [(float(e.t), e.da_norm) for e in traj.restart_events()]
@@ -194,9 +188,6 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
         summary["max_residual"] = float(res[mask].max())
         summary["max_orth_deviation"] = float(orth[mask].max())
     if metric == "matrix":
-        mres = np.array([residual(flow.sample(float(traj.times[k])),
-                                  traj.z[k], metric="matrix")
-                         for k in range(K1)])
         if mask.any():
             summary["median_residual"] = float(np.median(mres[mask]))
             summary["max_residual"] = float(mres[mask].max())
@@ -207,7 +198,7 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
         summary["step_utilization"] = per_step / traj.config.tau
         summary["idle_fraction"] = 1.0 - per_step / traj.config.tau
 
-    return RunReport(config=_config_echo(traj.config), times=traj.times,
+    return RunReport(config=asdict(traj.config), times=traj.times,
                      residuals=res, orth=orth, kinds=list(traj.kind),
                      da_norms=traj.da_norms, mask=mask,
                      excluded_windows=windows, restarts=restarts,
@@ -299,23 +290,19 @@ def convergence_sweep(flow: MatrixFlow, template: SolverConfig,
 def derivative_trace(flow: MatrixFlow, config: SolverConfig):
     """Frobenius norms of the derivative estimates along the sampling grid.
 
-    Walks the grid accumulating samples exactly as a run would, but never
-    restarts: instants whose backward window straddles a discontinuity
-    show the raw spike.  Entries before the window first fills are NaN.
-    Returns (times, norms).
+    Estimates from the same backward windows a run uses, but never
+    restarts: instants whose window straddles a discontinuity show the
+    raw spike.  Entries before the window first fills are NaN.  Returns
+    (times, norms).
     """
     der = config.derivative_rule
     K = int(round((config.tf - config.t0) / config.tau))
     times = config.t0 + config.tau * np.arange(K + 1)
     norms = np.full(K + 1, np.nan)
-    hist: List[np.ndarray] = []
-    for k, t in enumerate(times):
-        hist.insert(0, flow.sample(float(t)))
-        if len(hist) > der.taps:
-            hist.pop()
-        if len(hist) == der.taps:
-            est = derivative_estimate(der, hist, config.tau)
-            norms[k] = fro_norm(est)
+    samples = np.stack([flow.sample(float(t)) for t in times])
+    for k in range(der.taps - 1, K + 1):
+        est = derivative_estimate(der, samples[k::-1], config.tau)
+        norms[k] = fro_norm(est)
     return times, norms
 
 

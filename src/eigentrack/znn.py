@@ -13,11 +13,13 @@ using only current and past data, with the flow derivative dA estimated
 by a backward difference on the recorded samples.  Startup eigendata
 comes from the static eigensolver; an unusually large derivative
 estimate signals a data discontinuity and triggers a fresh startup.
+``Tracker`` holds that state for a stream of samples; ``run`` drives it
+over a flow's sampling grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -29,14 +31,10 @@ from .formulas import PRESETS, catalog, derivative_estimate
 
 __all__ = [
     "SolverConfig",
-    "EigenPairState",
     "StepEvent",
     "Trajectory",
     "NumericalAbort",
-    "assemble",
-    "step",
-    "startup",
-    "detect_jump",
+    "Tracker",
     "run",
 ]
 
@@ -107,28 +105,6 @@ class SolverConfig:
 
 
 @dataclass
-class EigenPairState:
-    """Ring buffer of the last s* stacked vectors for one tracked pair.
-
-    ``zbuf`` holds the newest entry last.  The matrix-sample history is
-    shared across pairs and lives with the run loop, not here.
-    """
-
-    index: int
-    zbuf: List[np.ndarray] = field(default_factory=list)
-    capacity: int = 4
-
-    def push(self, z: np.ndarray) -> None:
-        self.zbuf.append(np.asarray(z, dtype=float))
-        if len(self.zbuf) > self.capacity:
-            self.zbuf.pop(0)
-
-    @property
-    def full(self) -> bool:
-        return len(self.zbuf) >= self.capacity
-
-
-@dataclass
 class StepEvent:
     """Per-instant record: tag plus per-pair diagnostics."""
 
@@ -143,8 +119,8 @@ class StepEvent:
 class Trajectory:
     """Full run output: per-instant stacked vectors and diagnostics.
 
-    Each per-instant fact is stored once, in the arrays; ``events`` and
-    ``restart_events()`` are derived from them.  A restart's spike is the
+    Each per-instant fact is stored once, in the arrays;
+    ``restart_events()`` is derived from them.  A restart's spike is the
     derivative norm logged at its instant.
     """
 
@@ -160,42 +136,13 @@ class Trajectory:
     def n(self) -> int:
         return self.z.shape[1]
 
-    def _event(self, k: int) -> StepEvent:
-        kind = self.kind[k]
-        return StepEvent(
-            t=self.times[k], kind=kind, residuals=self.residuals[k],
-            solve_methods=self.solve_methods[k],
-            da_norm=(float(self.da_norms[k]) if kind == "restart-triggered"
-                     else float("nan")))
-
-    @property
-    def events(self) -> List[StepEvent]:
-        return [self._event(k) for k in range(len(self.kind))]
-
     def restart_events(self) -> List[StepEvent]:
-        return [self._event(k) for k, kind in enumerate(self.kind)
+        return [StepEvent(t=self.times[k], kind=kind,
+                          residuals=self.residuals[k],
+                          solve_methods=self.solve_methods[k],
+                          da_norm=float(self.da_norms[k]))
+                for k, kind in enumerate(self.kind)
                 if kind == "restart-triggered"]
-
-
-def assemble(A, dA, z, eta: float, mu: float):
-    """Bordered system for one eigenpair at one instant.
-
-    Returns (P, q) with P symmetric whenever A is.  The stacked vector z
-    is split as x = z[:n], lambda = z[n].
-    """
-    A = np.asarray(A, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise densela.MatrixShapeError(f"A must be square, got {A.shape}")
-    if z.shape != (n + 1,):
-        raise densela.MatrixShapeError(
-            f"stacked vector has length {z.shape}, expected {n + 1}")
-    dA = np.asarray(dA, dtype=float)
-    if dA.shape != (n, n):
-        raise densela.MatrixShapeError(f"dA must match A, got {dA.shape}")
-    Ps, qs = _assemble_batch(A, dA, z[None], eta, mu)
-    return Ps[0], qs[0]
 
 
 def _assemble_batch(A, dA, Z, eta: float, mu: float, Ps=None, qs=None):
@@ -220,54 +167,6 @@ def _assemble_batch(A, dA, Z, eta: float, mu: float, Ps=None, qs=None):
     qs[:, :n] = -eta * (AX - lam[:, None] * X) - X @ dA.T
     qs[:, n] = 0.5 * mu * (np.add.reduce(X * X, axis=1) - 1.0)
     return Ps, qs
-
-
-class _Predictor:
-    """The one prediction kernel: assemble, solve, recurse, for all pairs.
-
-    Holds the recursion weights as floats and the bordered buffers, which
-    are allocated once and overwritten on every call.
-    """
-
-    def __init__(self, config: SolverConfig, n: int, npairs: int):
-        rec = config.recursion_rule
-        self.eta, self.mu = config.eta, config.mu
-        self.tau_c = config.tau * rec.c_float()
-        self.a = rec.a_float()
-        self.Ps = np.zeros((npairs, n + 1, n + 1))
-        self.qs = np.empty((npairs, n + 1))
-
-    def __call__(self, A, dA, zhist, out):
-        """Write z_{k+1} into ``out``; return the solve report.
-
-        ``zhist[j]`` is the (n_pairs, n+1) block j instants back, newest
-        first, with at least as many entries as the recursion has taps.
-        """
-        _assemble_batch(A, dA, zhist[0], self.eta, self.mu, self.Ps, self.qs)
-        sol = solve_batch(self.Ps, self.qs)
-        np.multiply(self.tau_c, sol.x, out=out)
-        for j, a in enumerate(self.a):
-            out += a * zhist[j]
-        return sol
-
-
-def step(state: EigenPairState, a_history, config: SolverConfig):
-    """Advance one pair a single instant; returns the predicted z.
-
-    ``a_history`` lists the matrix samples newest first, at least as many
-    as the derivative formula taps.  The state buffer must be full.
-    """
-    taps = config.recursion_rule.taps
-    if len(state.zbuf) < taps:
-        raise ValueError(
-            f"state buffer holds {len(state.zbuf)} vectors, "
-            f"recursion needs {taps}")
-    dA = derivative_estimate(config.derivative_rule, a_history, config.tau)
-    zhist = np.stack(state.zbuf[::-1])[:, None, :]   # newest first, 1 pair
-    m = zhist.shape[2]
-    z_next = np.empty((1, m))
-    _Predictor(config, m - 1, 1)(a_history[0], dA, zhist, z_next)
-    return z_next[0]
 
 
 def _match_pairs(lam_prev, X_prev, w_new, V_new):
@@ -322,42 +221,125 @@ def _static_blocks(samples):
     return blocks
 
 
-def startup(flow: MatrixFlow, t_start: float, config: SolverConfig):
-    """Static eigendata for the first s* instants, matched and aligned.
+class Tracker:
+    """Streaming one-step-ahead predictor for all n pairs of a flow.
 
-    Returns n EigenPairStates with full buffers, filled from
-    ``_static_blocks`` of the samples at t_start, t_start + tau, ...
+    Samples arrive one at a time, a sampling gap apart, and each
+    prediction is made before the sample it predicts exists.  After
+    ``do_startup`` seeds the state, the cycle is ``predict()`` for the
+    next instant, then ``observe(A)`` with that instant's sample.  A jump
+    reported by ``observe`` drops the state; seed again with
+    ``do_startup``, starting at the sample that fired it.
+
+    ``samples`` (the derivative formula's window) and ``states`` (the
+    last s* (n, n+1) blocks, row i = pair i's [x; lambda]) are lists,
+    newest first.  ``dA`` is the derivative estimate at the newest
+    sample.  The bordered buffers are allocated once and overwritten on
+    every prediction, and the oldest state block, once dropped, holds
+    the next prediction: a block returned by ``predict`` stays valid for
+    s* accepted steps, so copy it to keep it longer.
     """
-    s_star = config.s_star
-    blocks = _static_blocks(np.stack([flow.sample(t_start + j * config.tau)
-                                      for j in range(s_star)]))
-    states = [EigenPairState(index=i, capacity=s_star)
-              for i in range(flow.n)]
-    for block in blocks:
-        for st, z in zip(states, block):
-            st.push(z)
-    return states
 
+    def __init__(self, config: SolverConfig, n: int):
+        rec = config.recursion_rule
+        self.der = config.derivative_rule
+        # plain floats and ints: the per-step methods read them every call
+        self.tau, self.s_star = config.tau, config.s_star
+        self.eta, self.mu = config.eta, config.mu
+        self.threshold = config.jump_threshold
+        self.tau_c = config.tau * rec.c_float()
+        self.a = rec.a_float()
+        self.Ps = np.zeros((n, n + 1, n + 1))
+        self.qs = np.empty((n, n + 1))
+        self.samples: List[np.ndarray] = []
+        self.states: List[np.ndarray] = []
+        self.dA = None
+        self._next = np.empty((n, n + 1))   # where predict() writes
+        self._pending = False
 
-def detect_jump(da_estimate, threshold: float) -> bool:
-    """True when the derivative estimate is too large to be smooth data."""
-    return fro_norm(da_estimate) > threshold
+    def do_startup(self, samples):
+        """Seed from consecutive samples; the oldest is the first instant.
+
+        Returns the matched static blocks, (m, n, n+1), and the
+        derivative norm at each instant, NaN until the window fills.
+        Raises ``numpy.linalg.LinAlgError`` when the eigensolver fails.
+        """
+        blocks = _static_blocks(samples)
+        der = self.der
+        norms = np.full(len(blocks), np.nan)
+        self.samples = []
+        self.dA = None
+        for j in range(len(blocks)):
+            self.samples.insert(0, samples[j])
+            if len(self.samples) > der.taps:
+                self.samples.pop()
+            if len(self.samples) == der.taps:
+                self.dA = derivative_estimate(der, self.samples, self.tau)
+                norms[j] = fro_norm(self.dA)
+        # the tracker's own copy: its blocks are recycled as buffers
+        self.states = list(blocks[::-1][:self.s_star].copy())
+        self._pending = False
+        return blocks, norms
+
+    def predict(self):
+        """Predict the blocks at the next instant from data up to now.
+
+        Returns ``(z_next, report)``: the (n, n+1) prediction and the
+        solve report of its bordered systems.  Raises ValueError while
+        the state or the sample window is shorter than its formula.
+        """
+        if (len(self.states) < len(self.a)
+                or len(self.samples) < self.der.taps):
+            raise ValueError(
+                f"predict needs {len(self.a)} state blocks and "
+                f"{self.der.taps} samples, has {len(self.states)} and "
+                f"{len(self.samples)}; seed with a full do_startup block")
+        _assemble_batch(self.samples[0], self.dA, self.states[0], self.eta,
+                        self.mu, self.Ps, self.qs)
+        sol = solve_batch(self.Ps, self.qs)
+        out = self._next
+        np.multiply(self.tau_c, sol.x, out=out)
+        for a, z in zip(self.a, self.states):
+            out += a * z
+        self._pending = True
+        return out, sol
+
+    def observe(self, A):
+        """Take the sample at the instant last predicted.
+
+        Returns ``(jump, ||dA||_F)``.  The derivative estimate made here
+        is the one the next prediction uses.  Without a jump the pending
+        prediction becomes the newest state; with one the state is
+        dropped.
+        """
+        if not self._pending:
+            raise ValueError("observe needs a pending prediction")
+        self._pending = False
+        self.samples.insert(0, A)      # the window is full once predicting
+        self.samples.pop()
+        self.dA = derivative_estimate(self.der, self.samples, self.tau)
+        da = fro_norm(self.dA)
+        if da > self.threshold:
+            self.states = []
+            return True, da
+        self.states.insert(0, self._next)
+        if len(self.states) > self.s_star:
+            self._next = self.states.pop()
+        else:
+            self._next = np.empty_like(self._next)
+        return False, da
 
 
 def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     """Track the full eigendecomposition across the configured span.
 
-    The outer loop walks the sampling grid; at each instant the n bordered
-    systems are solved (independently -- they share only the read-only
-    sample history) and the recursion emits the next stacked vectors.  A
-    derivative estimate above the jump threshold discards the in-flight
-    prediction and restarts with fresh static eigendata at the offending
-    instant; predictions resume once the buffers refill.  The estimate
-    made for the jump test at an instant is the one the next prediction
-    uses.  Non-finite values or solver failures abort with the partial
-    trajectory attached.
+    A driver over ``Tracker``: it feeds the flow's samples on the grid
+    and records every instant.  A derivative estimate above the jump
+    threshold discards the in-flight prediction and restarts with fresh
+    static eigendata at the offending instant; predictions resume once
+    the buffers refill.  Non-finite values or solver failures abort with
+    the partial trajectory attached.
     """
-    der = config.derivative_rule
     s_star = config.s_star
     n = flow.n
     tau = config.tau
@@ -371,9 +353,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     residuals = np.full((K + 1, n), np.nan)
     solve_methods = [("",) * n] * (K + 1)
     da_norms = np.full(K + 1, np.nan)
-    predict = _Predictor(config, n, n)
-    a_hist: List[np.ndarray] = []    # newest first, at most der.taps
-    dA = None                        # estimate at the newest instant
+    tracker = Tracker(config, n)
 
     def partial(upto: int) -> Trajectory:
         return Trajectory(times=times[:upto + 1], z=Z[:upto + 1],
@@ -382,51 +362,45 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
                           solve_methods=solve_methods[:upto + 1],
                           da_norms=da_norms[:upto + 1], config=config)
 
-    def do_startup(k0: int, first_kind: str):
-        nonlocal dA
-        a_hist.clear()
+    def start(k0: int, first_kind: str) -> int:
         last = min(k0 + s_star - 1, K)   # clip when a jump lands near tf
+        # A restart samples its first instant again although observe()
+        # just saw it: perfbench/worker.py tells restarts from steps by
+        # this repeated sample time, so keep the call order.
         samples = np.stack([flow.sample(times[k]) for k in range(k0, last + 1)])
         try:
-            Z[k0:last + 1] = _static_blocks(samples)
+            blocks, norms = tracker.do_startup(samples)
         except np.linalg.LinAlgError as exc:
             raise NumericalAbort(
                 f"startup eigensolver failed at t={times[k0]}: {exc}",
                 partial(k0 - 1)) from exc
+        Z[k0:last + 1] = blocks
+        # a one-sample window has no estimate: index k0 keeps the spike
+        da_norms[k0 + 1:last + 1] = norms[1:]
         for j, k in enumerate(range(k0, last + 1)):
             kind[k] = first_kind if j == 0 else "startup"
-            residuals[k] = residual(samples[j], Z[k])
+            residuals[k] = residual(samples[j], blocks[j])
             solve_methods[k] = ("static",) * n
-            a_hist.insert(0, samples[j])
-            if len(a_hist) > der.taps:
-                a_hist.pop()
-            if len(a_hist) == der.taps:
-                dA = derivative_estimate(der, a_hist, tau)
-                da_norms[k] = fro_norm(dA)
         return last
 
-    k = do_startup(0, "startup")
+    k = start(0, "startup")
     while k < K:
-        # prediction for the next instant, from data up to t_k only
         knew = k + 1
         try:
-            sol = predict(a_hist[0], dA, Z[k::-1], Z[knew])
+            z, sol = tracker.predict()
         except (densela.MatrixShapeError, np.linalg.LinAlgError) as exc:
             raise NumericalAbort(f"solve failed at step {k}: {exc}",
                                  partial(k)) from exc
         A_new = flow.sample(times[knew])
-        a_hist.insert(0, A_new)      # the window is full once predicting
-        a_hist.pop()
-        dA = derivative_estimate(der, a_hist, tau)
-        da = fro_norm(dA)
-        da_norms[knew] = da
-        if da > config.jump_threshold:     # detect_jump's rule
-            k = do_startup(knew, "restart-triggered")
+        jump, da_norms[knew] = tracker.observe(A_new)
+        if jump:
+            k = start(knew, "restart-triggered")
             continue
-        if not np.isfinite(Z[knew]).all():
+        if not np.isfinite(z).all():
             raise NumericalAbort(
                 f"non-finite prediction at t={times[knew]}", partial(k))
-        residuals[knew] = residual(A_new, Z[knew])
+        Z[knew] = z
+        residuals[knew] = residual(A_new, z)
         solve_methods[knew] = sol.methods
         k = knew
 

@@ -239,4 +239,3 @@ def test_solve_shape_errors():
 
 def test_norm_helpers():
     assert densela.fro_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
-    assert densela.two_norm(np.array([3.0, 4.0])) == 5.0

@@ -1,5 +1,7 @@
 """Metrics, reports, baseline, sweep, and derivative trace."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,26 @@ def test_build_report_matrix_metric(short_run):
     assert rep.summary["median_residual"] > 0
 
 
+def test_build_report_config_is_the_solver_config(short_run):
+    flow, traj = short_run
+    assert build_report(flow, traj).config == dataclasses.asdict(traj.config)
+
+
+def test_build_report_matrix_samples_each_instant_once():
+    base = et.diag_linear_flow()
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return base.sampler(t)
+
+    flow = et.MatrixFlow(n=base.n, sampler=counting, label="counted")
+    traj = run(flow, SolverConfig(tau=0.01, eta=1.0, tf=0.5))
+    del calls[:]
+    build_report(flow, traj, metric="matrix")
+    assert len(calls) == traj.times.size
+
+
 # ----------------------------------------------------------------- baseline
 
 def test_baseline_oracle_on_diag_flow():
@@ -165,6 +187,13 @@ def test_derivative_trace_constant_flow():
     m = cfg.derivative_rule.taps
     assert np.isnan(norms[: m - 1]).all()
     assert np.nanmax(norms) < 1e-10
+
+
+def test_derivative_trace_matches_the_run(short_run):
+    # same backward windows as the run's own estimates, bit for bit
+    flow, traj = short_run
+    _, norms = derivative_trace(flow, traj.config)
+    assert np.array_equal(norms, traj.da_norms, equal_nan=True)
 
 
 def test_derivative_trace_sees_raw_spike():

@@ -1,15 +1,15 @@
-"""Predictor dynamics: assembly, stepping, startup, detection, full runs."""
+"""Predictor dynamics: assembly, the streaming tracker, full runs."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 import eigentrack as et
 from eigentrack import znn
-from eigentrack.densela import MatrixShapeError
 from eigentrack.flows import JumpSchedule, MatrixFlow, builtin_flows, \
     constant_flow, diag_linear_flow, with_jumps
-from eigentrack.znn import (EigenPairState, NumericalAbort, SolverConfig,
-                            assemble, detect_jump, run, startup, step)
+from eigentrack.znn import NumericalAbort, SolverConfig, Tracker, run
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +49,8 @@ def test_unknown_preset():
 
 def test_assemble_hand_example():
     A = np.diag([2.0, 5.0])
-    z = np.array([1.0, 0.0, 2.1])
-    P, q = assemble(A, np.zeros((2, 2)), z, eta=1.0, mu=1.0)
+    Z = np.array([[1.0, 0.0, 2.1]])
+    (P,), (q,) = znn._assemble_batch(A, np.zeros((2, 2)), Z, eta=1.0, mu=1.0)
     want_P = np.array([[-0.1, 0.0, -1.0],
                        [0.0, 2.9, 0.0],
                        [-1.0, 0.0, 0.0]])
@@ -61,96 +61,146 @@ def test_assemble_hand_example():
 def test_assemble_with_drift_and_separate_mu():
     A = np.diag([2.0, 5.0])
     dA = np.diag([1.0, 0.0])
-    z = np.array([1.0, 0.0, 2.0])
-    P, q = assemble(A, dA, z, eta=2.0, mu=3.0)
+    Z = np.array([[1.0, 0.0, 2.0]])
+    (P,), (q,) = znn._assemble_batch(A, dA, Z, eta=2.0, mu=3.0)
     assert P[0, 0] == 0.0 and P[1, 1] == 3.0
     assert q == pytest.approx([-1.0, 0.0, 0.0], abs=1e-15)
     # unnormalized vector feeds the drift row through mu/2
-    z2 = np.array([2.0, 0.0, 2.0])
-    _, q2 = assemble(A, dA, z2, eta=2.0, mu=3.0)
+    Z2 = np.array([[2.0, 0.0, 2.0]])
+    _, (q2,) = znn._assemble_batch(A, dA, Z2, eta=2.0, mu=3.0)
     assert q2[2] == pytest.approx(1.5 * 3.0, abs=1e-15)
 
 
 def test_assemble_is_symmetric(rng):
     M = rng.standard_normal((4, 4))
     A = (M + M.T) / 2
-    z = rng.standard_normal(5)
-    P, _ = assemble(A, np.zeros((4, 4)), z, eta=1.0, mu=1.0)
+    Z = rng.standard_normal((1, 5))
+    (P,), _ = znn._assemble_batch(A, np.zeros((4, 4)), Z, eta=1.0, mu=1.0)
     assert np.array_equal(P, P.T)
 
 
-def test_assemble_shape_errors():
-    A = np.eye(2)
-    with pytest.raises(MatrixShapeError):
-        assemble(A, np.zeros((2, 2)), np.ones(4), 1.0, 1.0)
-    with pytest.raises(MatrixShapeError):
-        assemble(A, np.zeros((3, 3)), np.ones(3), 1.0, 1.0)
+# ------------------------------------------------------------------ tracker
 
+def _exact_blocks():
+    """diag(1, 2, 3) and its exact eigenpairs as one (3, 4) block."""
+    A = np.diag([1.0, 2.0, 3.0])
+    return A, np.hstack([np.eye(3), np.array([[1.0], [2.0], [3.0]])])
 
-def test_assemble_batch_matches_scalar(rng):
-    M = rng.standard_normal((5, 5))
-    A = (M + M.T) / 2
-    dA = (rng.standard_normal((5, 5)) + rng.standard_normal((5, 5)).T) / 2
-    dA = (dA + dA.T) / 2
-    Z = rng.standard_normal((5, 6))
-    Ps, qs = znn._assemble_batch(A, dA, Z, eta=1.7, mu=0.4)
-    for i in range(5):
-        P, q = assemble(A, dA, Z[i], eta=1.7, mu=0.4)
-        assert np.allclose(Ps[i], P, atol=1e-14)
-        assert np.allclose(qs[i], q, atol=1e-14)
-
-
-# --------------------------------------------------------------------- step
 
 def test_step_fixed_point():
-    A = np.diag([1.0, 2.0, 3.0])
+    A, block = _exact_blocks()
     cfg = SolverConfig(tau=0.01, eta=1.0)
-    z_star = np.array([0.0, 1.0, 0.0, 2.0])   # exact pair of A
-    state = EigenPairState(index=0, capacity=cfg.s_star)
-    for _ in range(cfg.s_star):
-        state.push(z_star)
-    hist = [A] * cfg.derivative_rule.taps
-    z_next = step(state, hist, cfg)
-    assert z_next == pytest.approx(z_star, abs=1e-14)
+    tracker = Tracker(cfg, 3)
+    tracker.do_startup(np.stack([A] * cfg.s_star))
+    tracker.states = [block.copy() for _ in range(cfg.s_star)]
+    z_next, report = tracker.predict()
+    assert z_next == pytest.approx(block, abs=1e-14)
+    assert report.methods == ("direct",) * 3
 
 
-def test_step_underfull_buffer():
+def test_predict_needs_a_full_startup():
     cfg = SolverConfig(tau=0.01, eta=1.0)
-    state = EigenPairState(index=0, capacity=cfg.s_star)
-    state.push(np.array([1.0, 0.0, 1.0]))
+    A, _ = _exact_blocks()
     with pytest.raises(ValueError):
-        step(state, [np.eye(2)] * 4, cfg)
+        Tracker(cfg, 3).predict()             # never seeded
+    clipped = Tracker(cfg, 3)
+    clipped.do_startup(np.stack([A] * (cfg.s_star - 1)))   # cut near tf
+    with pytest.raises(ValueError):
+        clipped.predict()
+    with pytest.raises(ValueError):
+        clipped.observe(A)                     # nothing pending
+    seeded = Tracker(cfg, 3)
+    seeded.do_startup(np.stack([A] * cfg.s_star))
+    seeded.predict()                           # full block: no error
 
 
-def test_step_is_the_run_kernel(smooth7):
-    # step() and run() share one prediction kernel: stepping a single pair
-    # from a run's own history reproduces the run's prediction
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=0.1)
-    traj = run(smooth7, cfg)
-    k = 10
-    hist = [smooth7.sample(traj.times[k - j]) for j in range(4)]
-    for i in range(7):
-        state = EigenPairState(index=i, capacity=cfg.s_star)
-        for j in range(cfg.s_star - 1, -1, -1):
-            state.push(traj.z[k - j, i])
-        z = step(state, hist, cfg)
-        assert np.allclose(z, traj.z[k + 1, i], rtol=0.0, atol=1e-13)
+def test_normalization_defect_decays():
+    A, block = _exact_blocks()
+    cfg = SolverConfig(tau=0.01, eta=2.0)
+    block[0, 0] = 1.1                          # 21% normalization defect
+    tracker = Tracker(cfg, 3)
+    tracker.do_startup(np.stack([A] * cfg.s_star))
+    tracker.states = [block.copy() for _ in range(cfg.s_star)]
+    defect = [abs(block[0, :3] @ block[0, :3] - 1.0)]
+    for _ in range(800):
+        z, _ = tracker.predict()
+        jump, _ = tracker.observe(A)
+        assert not jump
+        defect.append(abs(z[0, :3] @ z[0, :3] - 1.0))
+    # decays like exp(-mu t): one time unit shrinks it by e^-2
+    assert defect[100] / defect[0] == pytest.approx(np.exp(-2.0), rel=0.05)
+    assert defect[300] < defect[100] < defect[0]
+    assert defect[-1] < 1e-6
 
 
-# ------------------------------------------------------------------ startup
+def _stream_track(samples, config, n):
+    """Track an iterator of samples with Tracker alone, restarts included.
+
+    Returns per-instant blocks, tags and derivative norms laid out like
+    run()'s Trajectory.
+    """
+    tracker = Tracker(config, n)
+    z, kind, da_norms = [], [], []
+
+    def start(first, first_kind):
+        rest = list(itertools.islice(samples, config.s_star - 1))
+        blocks, norms = tracker.do_startup(np.stack([first] + rest))
+        z.extend(blocks)
+        kind.extend([first_kind] + ["startup"] * (len(blocks) - 1))
+        da_norms.extend(norms[1:])
+
+    start(next(samples), "startup")
+    da_norms.insert(0, np.nan)
+    for A in samples:
+        z_next, _ = tracker.predict()
+        jump, da = tracker.observe(A)
+        da_norms.append(da)
+        if jump:
+            start(A, "restart-triggered")
+        else:
+            z.append(z_next.copy())
+            kind.append("predicted")
+    return np.array(z), kind, np.array(da_norms)
+
+
+def _jumping(t):
+    """Rotating 3x3 symmetric sample; its lowest eigenvalue steps at 0.5."""
+    c, s = np.cos(0.4 * t), np.sin(0.4 * t)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    d = np.array([1.0 if t < 0.5 else -1.0, 2.5, 4.0])
+    M = R @ np.diag(d) @ R.T
+    return (M + M.T) / 2
+
+
+def test_tracker_streams_a_generator_like_run():
+    # samples from a plain generator, no MatrixFlow: one jump at t = 0.5,
+    # the restart handled by the caller, and run()'s output bit for bit
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    traj = run(MatrixFlow(n=3, sampler=_jumping, label="jumping"), cfg)
+    assert [e.t for e in traj.restart_events()] == [0.5]
+    z, kind, da_norms = _stream_track((_jumping(t) for t in traj.times),
+                                      cfg, 3)
+    assert kind == traj.kind
+    assert np.array_equal(z, traj.z)
+    assert np.array_equal(da_norms, traj.da_norms, equal_nan=True)
+
 
 def test_startup_ascending_and_full():
     cfg = SolverConfig.from_preset("ifd5", tau=0.01, eta=1.0)
-    states = startup(diag_linear_flow(), 0.0, cfg)
-    assert len(states) == 2
-    for st in states:
-        assert st.full and len(st.zbuf) == cfg.s_star
-    lam0 = [st.zbuf[0][-1] for st in states]
-    assert lam0 == pytest.approx([2.0, 5.0], abs=1e-12)
+    flow = diag_linear_flow()
+    tracker = Tracker(cfg, flow.n)
+    blocks, norms = tracker.do_startup(
+        np.stack([flow.sample(j * cfg.tau) for j in range(cfg.s_star)]))
+    assert blocks.shape == (cfg.s_star, 2, 3)
+    assert len(tracker.states) == cfg.s_star
+    assert np.array_equal(tracker.states[0], blocks[-1])   # newest first
+    assert blocks[0, :, -1] == pytest.approx([2.0, 5.0], abs=1e-12)
     # later instants stay matched to the same pair, values drift linearly
-    lam_last = states[0].zbuf[-1][-1]
-    assert lam_last == pytest.approx(2.0 + 0.01 * (cfg.s_star - 1),
-                                     abs=1e-12)
+    assert blocks[-1, 0, -1] == pytest.approx(2.0 + 0.01 * (cfg.s_star - 1),
+                                              abs=1e-12)
+    # the derivative norm appears once the sample window fills
+    m = cfg.derivative_rule.taps
+    assert np.isnan(norms[:m - 1]).all() and np.isfinite(norms[m - 1:]).all()
 
 
 def test_startup_signs_are_continuous():
@@ -161,24 +211,41 @@ def test_startup_signs_are_continuous():
                       [np.sin(th), np.cos(th)]])
         return R @ np.diag([1.0, 3.0]) @ R.T
 
-    flow = MatrixFlow(n=2, sampler=sampler, label="rot")
     cfg = SolverConfig.from_preset("ifd5", tau=0.05, eta=1.0)
-    states = startup(flow, 0.0, cfg)
-    for st in states:
-        lams = [z[-1] for z in st.zbuf]
-        assert np.ptp(lams) < 1e-10          # matching never swaps pairs
-        for za, zb in zip(st.zbuf, st.zbuf[1:]):
-            assert za[:2] @ zb[:2] > 0.9     # aligned and continuous
+    blocks, _ = Tracker(cfg, 2).do_startup(
+        np.stack([sampler(j * cfg.tau) for j in range(cfg.s_star)]))
+    for i in range(2):
+        assert np.ptp(blocks[:, i, -1]) < 1e-10     # matching never swaps
+        for za, zb in zip(blocks[:-1, i], blocks[1:, i]):
+            assert za[:2] @ zb[:2] > 0.9            # aligned and continuous
 
 
 # ---------------------------------------------------------------- detection
 
+def _predicting(cfg, A):
+    """A tracker seeded on a constant window, one prediction pending."""
+    tracker = Tracker(cfg, A.shape[0])
+    tracker.do_startup(np.stack([A] * cfg.s_star))
+    tracker.predict()
+    return tracker
+
+
 def test_detect_jump_threshold():
-    assert not detect_jump(np.zeros((3, 3)), 300.0)
-    assert detect_jump(np.full((3, 3), 200.0), 300.0)
-    exact = np.zeros((2, 2))
-    exact[0, 0] = 300.0
-    assert not detect_jump(exact, 300.0)     # strict inequality
+    # observe() restarts on ||dA||_F > threshold, strictly
+    A, _ = _exact_blocks()
+    B = A.copy()
+    B[0, 0] += 1.0                     # the newest sample steps
+    cfg = SolverConfig(tau=0.01, eta=1.0)
+    assert not _predicting(cfg, A).observe(A)[0]
+    _, da = _predicting(cfg, A).observe(B)
+    at = _predicting(SolverConfig(tau=0.01, eta=1.0, jump_threshold=da), A)
+    assert at.observe(B) == (False, da)
+    assert at.states                   # the prediction became the newest state
+    below = SolverConfig(tau=0.01, eta=1.0,
+                         jump_threshold=np.nextafter(da, 0.0))
+    under = _predicting(below, A)
+    assert under.observe(B) == (True, da)
+    assert not under.states            # a jump drops the state
 
 
 # --------------------------------------------------------------------- runs
@@ -188,7 +255,7 @@ def test_run_smooth_tags_and_residuals(smooth7):
     traj = run(smooth7, cfg)
     assert traj.times.size == 101
     assert traj.z.shape == (101, 7, 8)
-    assert len(traj.events) == 101
+    assert len(traj.kind) == 101
     assert traj.kind[:cfg.s_star] == ["startup"] * cfg.s_star
     assert set(traj.kind[cfg.s_star:]) == {"predicted"}
     assert not traj.restart_events()
@@ -224,18 +291,13 @@ def test_run_events_are_derived_from_arrays():
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
     cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(flow, cfg)
-    events = traj.events
-    assert len(events) == traj.times.size
-    for k, e in enumerate(events):
-        assert e.t == traj.times[k] and e.kind == traj.kind[k]
-        assert np.array_equal(e.residuals, traj.residuals[k])
-        assert e.solve_methods == traj.solve_methods[k]
     (restart,) = traj.restart_events()
     k = int(round(0.5 / cfg.tau))
+    assert restart.t == traj.times[k] and restart.kind == traj.kind[k]
+    assert np.array_equal(restart.residuals, traj.residuals[k])
+    assert restart.solve_methods == traj.solve_methods[k]
     # the spike is the derivative norm logged at the restart instant
     assert restart.da_norm == traj.da_norms[k]
-    assert all(np.isnan(e.da_norm) for e in events
-               if e.kind != "restart-triggered")
 
 
 def test_run_mixed_fallback_batch():
@@ -262,25 +324,6 @@ def test_run_constant_flow_is_a_fixed_point(smooth7):
     assert not traj.restart_events()
 
 
-def test_normalization_defect_decays():
-    A = np.diag([1.0, 2.0, 3.0])
-    cfg = SolverConfig(tau=0.01, eta=2.0)
-    z0 = np.array([1.1, 0.0, 0.0, 1.0])      # 21% normalization defect
-    state = EigenPairState(index=0, capacity=cfg.s_star)
-    for _ in range(cfg.s_star):
-        state.push(z0)
-    hist = [A] * cfg.derivative_rule.taps
-    defect = [abs(z0[:3] @ z0[:3] - 1.0)]
-    for _ in range(800):
-        z = step(state, hist, cfg)
-        state.push(z)
-        defect.append(abs(z[:3] @ z[:3] - 1.0))
-    # decays like exp(-mu t): one time unit shrinks it by e^-2
-    assert defect[100] / defect[0] == pytest.approx(np.exp(-2.0), rel=0.05)
-    assert defect[300] < defect[100] < defect[0]
-    assert defect[-1] < 1e-6
-
-
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_run_aborts_on_divergence(smooth7):
@@ -290,9 +333,9 @@ def test_run_aborts_on_divergence(smooth7):
     partial = info.value.trajectory
     assert partial.times.size < 401
     assert np.isfinite(partial.z).all()
-    # events of the partial trajectory cover exactly its instants
-    assert len(partial.events) == partial.times.size
-    assert [e.kind for e in partial.events] == partial.kind
+    # the per-instant records of the partial trajectory cover its instants
+    assert len(partial.kind) == partial.times.size
+    assert partial.residuals.shape == (partial.times.size, 7)
 
 
 def test_run_rejects_span_overrun():

@@ -30,30 +30,32 @@ def wobble(t):
 
 
 source = et.MatrixFlow(3, wobble, label="wobble")
-path = os.path.join(tempfile.mkdtemp(), "wobble.flow")
-et.write_flow_file(path, source, t0=0.0, tau=0.01, count=401)
 
-print("wrote", path)
-with open(path) as fh:
-    head = [next(fh) for _ in range(3)]
-print("file starts:")
-for line in head:
-    print("   ", line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "wobble.flow")
+    et.write_flow_file(path, source, t0=0.0, tau=0.01, count=401)
 
-# --- load and track ---------------------------------------------------------
+    print("wrote", path)
+    with open(path) as fh:
+        head = [next(fh) for _ in range(3)]
+    print("file starts:")
+    for line in head:
+        print("   ", line.rstrip())
 
-flow = et.flow_from_file(path)
-print("\nloaded flow: n=%d, span %.2f..%.2f" % (flow.n, *flow.span))
+    # --- load and track -----------------------------------------------------
 
-cfg = et.SolverConfig.from_preset("ifd5", tau=0.01, eta=4.5, tf=4.0)
-traj = et.run(flow, cfg)
-report = et.build_report(flow, traj)
+    flow = et.flow_from_file(path)
+    print("\nloaded flow: n=%d, span %.2f..%.2f" % (flow.n, *flow.span))
 
-print("median steady residual on the recorded data: %.2e"
-      % report.summary["median_residual"])
+    cfg = et.SolverConfig.from_preset("ifd5", tau=0.01, eta=4.5, tf=4.0)
+    traj = et.run(flow, cfg)
+    report = et.build_report(flow, traj)
 
-# queries between recorded instants are refused rather than interpolated
-try:
-    flow.sample(0.015)
-except et.InterpolationError as exc:
-    print("\noff-grid query is rejected:", exc)
+    print("median steady residual on the recorded data: %.2e"
+          % report.summary["median_residual"])
+
+    # queries between recorded instants are refused rather than interpolated
+    try:
+        flow.sample(0.015)
+    except et.InterpolationError as exc:
+        print("\noff-grid query is rejected:", exc)

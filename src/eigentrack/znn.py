@@ -25,7 +25,11 @@ from typing import List, Optional
 import numpy as np
 
 from . import densela
-from .densela import fro_norm, residual, sym_eig_batch, solve_batch
+from .densela import fro_norm, residual, sym_eig_batch
+# perfbench/worker.py times and counts the solve layer by wrapping this
+# module's global ``solve_batch``: keep the name, one call per predict,
+# positional arguments and a report of one entry per pair.
+from .densela import solve_bordered as solve_batch
 from .flows import MatrixFlow
 from .formulas import PRESETS, catalog, derivative_estimate
 
@@ -145,74 +149,71 @@ class Trajectory:
                 if kind == "restart-triggered"]
 
 
-def _assemble_batch(A, dA, Z, eta: float, mu: float, Ps=None, qs=None):
-    """Bordered systems for all pairs at one instant.
-
-    Z has shape (n_pairs, n+1); returns stacked (Ps, qs).  Buffers from an
-    earlier call may be passed back in: each call overwrites the A -
-    lambda*I block and the -x border of Ps (its corner stays 0) and all
-    of qs.
-    """
+def _rhs_batch(A, dA, Z, eta: float, mu: float, qs=None):
+    """Right-hand sides q of the bordered systems of all pairs at one
+    instant, (n_pairs, n+1); Z has shape (n_pairs, n+1).  A buffer from
+    an earlier call may be passed back in and is overwritten."""
     n = A.shape[0]
     X = Z[:, :n]
     lam = Z[:, n]
-    if Ps is None:
-        Ps, qs = np.zeros((len(Z), n + 1, n + 1)), np.empty((len(Z), n + 1))
-    Ps[:, :n, :n] = A
-    # the block's diagonal as a strided view of the contiguous stack
-    Ps.reshape(len(Z), -1)[:, :n * (n + 2):n + 2] -= lam[:, None]
-    np.negative(X, out=Ps[:, :n, n])
-    Ps[:, n, :n] = Ps[:, :n, n]
+    if qs is None:
+        qs = np.empty((len(Z), n + 1))
     AX = X @ A.T
     qs[:, :n] = -eta * (AX - lam[:, None] * X) - X @ dA.T
     qs[:, n] = 0.5 * mu * (np.add.reduce(X * X, axis=1) - 1.0)
-    return Ps, qs
+    return qs
 
 
 def _match_pairs(lam_prev, X_prev, w_new, V_new):
     """Greedy continuity matching of fresh static eigendata to tracked pairs.
 
     Pairs are assigned in order of increasing eigenvalue distance, ties
-    broken by larger eigenvector overlap; the chosen eigenvector is then
-    sign-aligned with its predecessor.
+    broken by larger eigenvector overlap, then by tracked index, then by
+    fresh index; the chosen eigenvector is then sign-aligned with its
+    predecessor.
     """
     npairs = len(lam_prev)
     overlaps = X_prev @ V_new            # (npairs, npairs)
-    cand = []
-    for i in range(npairs):
-        for j in range(npairs):
-            cand.append((abs(lam_prev[i] - w_new[j]),
-                         -abs(overlaps[i, j]), i, j))
-    cand.sort()
-    used_i = np.zeros(npairs, dtype=bool)
-    used_j = np.zeros(npairs, dtype=bool)
-    lam_out = np.empty(npairs)
-    X_out = np.empty_like(X_prev)
-    for _, _, i, j in cand:
+    dist = np.abs(lam_prev[:, None] - w_new[None, :])
+    # a stable sort: full ties keep the row-major (i, j) order
+    order = np.lexsort((-np.abs(overlaps).ravel(), dist.ravel()))
+    used_i = [False] * npairs
+    used_j = [False] * npairs
+    match = [0] * npairs
+    left = npairs
+    for flat in order.tolist():
+        i, j = divmod(flat, npairs)
         if used_i[i] or used_j[j]:
             continue
-        used_i[i] = True
-        used_j[j] = True
-        vec = V_new[:, j]
-        if vec @ X_prev[i] < 0.0:
-            vec = -vec
-        lam_out[i] = w_new[j]
-        X_out[i] = vec
-    return lam_out, X_out
+        used_i[i] = used_j[j] = True
+        match[i] = j
+        left -= 1
+        if not left:
+            break
+    sign = np.where(overlaps[np.arange(npairs), match] < 0.0, -1.0, 1.0)
+    return w_new[match], V_new.T[match] * sign[:, None]
 
 
-def _static_blocks(samples):
+def _static_blocks(samples, prev=None):
     """Matched static eigendata for consecutive samples, (m, n, n+1).
 
-    Pairs are ordered by ascending eigenvalue at the first sample; at
-    each later one the fresh decomposition is matched to the previous one
-    for continuity and eigenvector signs are aligned (nonnegative
-    consecutive inner product).  Row i of a block is pair i's [x; lambda].
+    Pairs are ordered by ascending eigenvalue at the first sample, or
+    matched to ``prev``, the (n, n+1) block of the sample just before,
+    when it is given; at each later sample the fresh decomposition is
+    matched to the previous one for continuity and eigenvector signs are
+    aligned (nonnegative consecutive inner product).  Row i of a block
+    is pair i's [x; lambda].
     """
     w_all, V_all = sym_eig_batch(samples)
     m, n = w_all.shape
     blocks = np.empty((m, n, n + 1))
-    lam, X = w_all[0], V_all[0].T.copy()   # row i = eigenvector of pair i
+    if prev is None:
+        lam, X = w_all[0], V_all[0].T.copy()   # row i = pair i's vector
+    else:
+        # a contiguous copy, like the matcher's own output, so a chain cut
+        # into pieces reproduces the unbroken chain bit for bit
+        lam, X = _match_pairs(prev[:, n], np.ascontiguousarray(prev[:, :n]),
+                              w_all[0], V_all[0])
     for j in range(m):
         if j > 0:
             lam, X = _match_pairs(lam, X, w_all[j], V_all[j])
@@ -234,8 +235,8 @@ class Tracker:
     ``samples`` (the derivative formula's window) and ``states`` (the
     last s* (n, n+1) blocks, row i = pair i's [x; lambda]) are lists,
     newest first.  ``dA`` is the derivative estimate at the newest
-    sample.  The bordered buffers are allocated once and overwritten on
-    every prediction, and the oldest state block, once dropped, holds
+    sample.  The right-hand-side buffer is allocated once and overwritten
+    on every prediction, and the oldest state block, once dropped, holds
     the next prediction: a block returned by ``predict`` stays valid for
     s* accepted steps, so copy it to keep it longer.
     """
@@ -249,7 +250,6 @@ class Tracker:
         self.threshold = config.jump_threshold
         self.tau_c = config.tau * rec.c_float()
         self.a = rec.a_float()
-        self.Ps = np.zeros((n, n + 1, n + 1))
         self.qs = np.empty((n, n + 1))
         self.samples: List[np.ndarray] = []
         self.states: List[np.ndarray] = []
@@ -294,9 +294,9 @@ class Tracker:
                 f"predict needs {len(self.a)} state blocks and "
                 f"{self.der.taps} samples, has {len(self.states)} and "
                 f"{len(self.samples)}; seed with a full do_startup block")
-        _assemble_batch(self.samples[0], self.dA, self.states[0], self.eta,
-                        self.mu, self.Ps, self.qs)
-        sol = solve_batch(self.Ps, self.qs)
+        A, Z = self.samples[0], self.states[0]
+        _rhs_batch(A, self.dA, Z, self.eta, self.mu, self.qs)
+        sol = solve_batch(A, Z, self.qs)
         out = self._next
         np.multiply(self.tau_c, sol.x, out=out)
         for a, z in zip(self.a, self.states):

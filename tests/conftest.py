@@ -80,3 +80,29 @@ def ifd7_run(jump_flow):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def _separated_flow(n: int, seed: int) -> et.MatrixFlow:
+    """Dense smooth n x n flow whose eigenvalues stay at least 0.4 apart.
+
+    U^T B(t)^T diag(d(t)) B(t) U: d_i(t) = i + 0.3 sin(t + i/2), B(t)
+    rotates consecutive coordinate pairs at 0.7 rad per time unit, and U
+    is the seeded orthogonal randomizer.
+    """
+    i = np.arange(n)
+
+    def sampler(t: float) -> np.ndarray:
+        c, s = np.cos(0.7 * t), np.sin(0.7 * t)
+        B = np.eye(n)
+        for k in range(0, n - 1, 2):
+            B[k:k + 2, k:k + 2] = [[c, -s], [s, c]]
+        return (B.T * (i + 0.3 * np.sin(t + 0.5 * i))) @ B
+
+    return et.conjugate(et.MatrixFlow(n, sampler, label=f"separated-n{n}"),
+                        et.OrthogonalRandomizer.from_seed(n, seed))
+
+
+@pytest.fixture(scope="session")
+def separated_flow():
+    """Factory: ``separated_flow(n, seed)``, see _separated_flow."""
+    return _separated_flow

@@ -8,9 +8,11 @@ general solver for linear systems.
 import numpy as np
 import pytest
 
+import eigentrack as et
 from eigentrack import densela
-from eigentrack.densela import (AsymmetryError, MatrixShapeError, solve,
-                                solve_augmented, solve_batch, sym_eig,
+from eigentrack.densela import (AsymmetryError, MatrixShapeError,
+                                bordered_stack, solve, solve_augmented,
+                                solve_batch, solve_bordered, sym_eig,
                                 sym_eig_batch)
 from eigentrack.flows import builtin_flows
 
@@ -239,3 +241,117 @@ def test_solve_shape_errors():
 
 def test_norm_helpers():
     assert densela.fro_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
+
+
+# ---------------------------------------------------------- solve_bordered
+
+def _dense_route(A, Z, qs):
+    return solve_batch(bordered_stack(A, Z), qs)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts the systems solve_bordered sends to the dense route."""
+    calls = []
+    real = densela.solve_batch
+
+    def spy(Ps, qs):
+        calls.append(len(Ps))
+        return real(Ps, qs)
+    monkeypatch.setattr(densela, "solve_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [20, 32])
+def test_solve_bordered_matches_dense_on_separated_flows(
+        rng, separated_flow, dense_calls, n):
+    # tracked pairs from a run, so X is near but not exactly orthonormal
+    flow = separated_flow(n, seed=n)
+    assert n >= densela._BASIS_MIN_N
+    traj = et.run(flow, et.SolverConfig.from_preset(
+        "ifd5", tau=0.005, eta=4.5, tf=0.1))
+    for k in (5, 12, 20):
+        A, Z = flow.sample(traj.times[k]), traj.z[k]
+        qs = rng.standard_normal((n, n + 1))
+        rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
+        assert not dense_calls
+        assert rep.methods == want.methods == ("direct",) * n
+        err = np.linalg.norm(rep.x - want.x, axis=1)
+        assert (err <= 1e-12 * np.linalg.norm(want.x, axis=1)).all()
+        assert rep.rpr == pytest.approx(want.rpr, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 7, densela._BASIS_MIN_N - 1])
+def test_solve_bordered_below_switch_is_the_dense_route(rng, n):
+    A = random_symmetric(rng, n)
+    Z = rng.standard_normal((n, n + 1))
+    qs = rng.standard_normal((n, n + 1))
+    rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
+    assert np.array_equal(rep.x, want.x)
+    assert np.array_equal(rep.rpr, want.rpr)
+    assert rep.methods == want.methods
+
+
+def test_solve_bordered_far_from_orthonormal_is_the_dense_route(
+        rng, dense_calls):
+    # the transformed residual says little about the original one when
+    # X is badly conditioned, so such a state is solved densely
+    n = 20
+    X = np.eye(n)
+    X[1, 0] = 0.9
+    A = np.diag(np.arange(n, dtype=float))
+    Z = np.hstack([X, np.arange(n, dtype=float)[:, None]])
+    qs = rng.standard_normal((n, n + 1))
+    rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
+    assert dense_calls == [n]
+    assert np.array_equal(rep.x, want.x) and rep.methods == want.methods
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_bordered_exact_collision_takes_least_squares(rng,
+                                                            dense_calls):
+    # pairs 3 and 4 share an eigenvalue exactly: their preconditioner
+    # divides by zero, so they go to the dense route and its fallback
+    n = 20
+    d = np.arange(n, dtype=float)
+    d[4] = d[3]
+    A = np.diag(d)
+    Z = np.hstack([np.eye(n), d[:, None]])
+    qs = rng.standard_normal((n, n + 1))
+    rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
+    assert dense_calls == [2]
+    assert rep.methods == want.methods
+    assert [i for i, m in enumerate(rep.methods)
+            if m == "least-squares"] == [3, 4]
+    assert np.isfinite(rep.x).all()
+    assert rep.x == pytest.approx(want.x, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_bordered_all_pairs_collide_in_a_run():
+    n = 20
+    traj = et.run(et.constant_flow(np.eye(n)),
+                  et.SolverConfig(tau=0.01, eta=1.0, tf=0.1))
+    predicted = [k for k, kd in enumerate(traj.kind) if kd == "predicted"]
+    assert predicted
+    for k in predicted:
+        assert traj.solve_methods[k] == ("least-squares",) * n
+    assert np.isfinite(traj.z).all()
+
+
+def test_solve_bordered_near_crossing(rng):
+    # two eigenvalues 1e-6 apart: either settled in the basis and close
+    # to the dense solution, or sent to the dense route
+    n = 24
+    d = np.arange(n, dtype=float)
+    d[8] = d[7] + 1e-6
+    U = et.OrthogonalRandomizer.from_seed(n, 3).U
+    A = U.T @ np.diag(d) @ U
+    A = (A + A.T) / 2
+    w, V = sym_eig_batch(A[None])
+    Z = np.hstack([V[0].T, w[0][:, None]])
+    qs = rng.standard_normal((n, n + 1))
+    rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
+    assert rep.methods == want.methods
+    err = np.linalg.norm(rep.x - want.x, axis=1)
+    assert (err <= 1e-8 * np.linalg.norm(want.x, axis=1)).all()

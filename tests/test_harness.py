@@ -155,6 +155,25 @@ def test_baseline_matrix_metric():
     assert rep.summary["metric"] == "matrix"
 
 
+@pytest.mark.parametrize("metric", ["pair", "matrix"])
+def test_baseline_blocks_do_not_change_the_report(monkeypatch, metric):
+    # eigenvalues t, 1, 2 cross at t = 1 and 2, so a block that restarted
+    # the matching in ascending order would swap residual columns; 99
+    # predictions in blocks of 7 (the last one short) against one block
+    from eigentrack import harness
+    flow = et.conjugate(
+        et.MatrixFlow(3, lambda t: np.diag([t, 1.0, 2.0]), label="cross"),
+        et.OrthogonalRandomizer.from_seed(3, 5))
+    monkeypatch.setattr(harness, "_BASELINE_BLOCK", 10 ** 6)
+    whole = naive_baseline(flow, tau=0.03, tf=2.97, metric=metric)
+    monkeypatch.setattr(harness, "_BASELINE_BLOCK", 7)
+    blocks = naive_baseline(flow, tau=0.03, tf=2.97, metric=metric)
+    assert whole.times.size == 99
+    assert np.array_equal(blocks.times, whole.times)
+    assert np.array_equal(blocks.residuals, whole.residuals)
+    assert blocks.summary == whole.summary
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_needs_three_distinct_gaps():

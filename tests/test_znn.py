@@ -1,12 +1,13 @@
 """Predictor dynamics: assembly, the streaming tracker, full runs."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 import eigentrack as et
-from eigentrack import znn
+from eigentrack import densela, znn
 from eigentrack.flows import JumpSchedule, MatrixFlow, builtin_flows, \
     constant_flow, diag_linear_flow, with_jumps
 from eigentrack.znn import NumericalAbort, SolverConfig, Tracker, run
@@ -50,7 +51,8 @@ def test_unknown_preset():
 def test_assemble_hand_example():
     A = np.diag([2.0, 5.0])
     Z = np.array([[1.0, 0.0, 2.1]])
-    (P,), (q,) = znn._assemble_batch(A, np.zeros((2, 2)), Z, eta=1.0, mu=1.0)
+    (P,) = densela.bordered_stack(A, Z)
+    (q,) = znn._rhs_batch(A, np.zeros((2, 2)), Z, eta=1.0, mu=1.0)
     want_P = np.array([[-0.1, 0.0, -1.0],
                        [0.0, 2.9, 0.0],
                        [-1.0, 0.0, 0.0]])
@@ -62,12 +64,13 @@ def test_assemble_with_drift_and_separate_mu():
     A = np.diag([2.0, 5.0])
     dA = np.diag([1.0, 0.0])
     Z = np.array([[1.0, 0.0, 2.0]])
-    (P,), (q,) = znn._assemble_batch(A, dA, Z, eta=2.0, mu=3.0)
+    (P,) = densela.bordered_stack(A, Z)
+    (q,) = znn._rhs_batch(A, dA, Z, eta=2.0, mu=3.0)
     assert P[0, 0] == 0.0 and P[1, 1] == 3.0
     assert q == pytest.approx([-1.0, 0.0, 0.0], abs=1e-15)
     # unnormalized vector feeds the drift row through mu/2
     Z2 = np.array([[2.0, 0.0, 2.0]])
-    _, (q2,) = znn._assemble_batch(A, dA, Z2, eta=2.0, mu=3.0)
+    (q2,) = znn._rhs_batch(A, dA, Z2, eta=2.0, mu=3.0)
     assert q2[2] == pytest.approx(1.5 * 3.0, abs=1e-15)
 
 
@@ -75,7 +78,7 @@ def test_assemble_is_symmetric(rng):
     M = rng.standard_normal((4, 4))
     A = (M + M.T) / 2
     Z = rng.standard_normal((1, 5))
-    (P,), _ = znn._assemble_batch(A, np.zeros((4, 4)), Z, eta=1.0, mu=1.0)
+    (P,) = densela.bordered_stack(A, Z)
     assert np.array_equal(P, P.T)
 
 
@@ -220,6 +223,55 @@ def test_startup_signs_are_continuous():
             assert za[:2] @ zb[:2] > 0.9            # aligned and continuous
 
 
+def _match_pairs_loop(lam_prev, X_prev, w_new, V_new):
+    """The greedy matching as a sorted list of candidate tuples: the
+    reference the vectorized znn._match_pairs must reproduce exactly."""
+    npairs = len(lam_prev)
+    overlaps = X_prev @ V_new
+    cand = sorted((abs(lam_prev[i] - w_new[j]), -abs(overlaps[i, j]), i, j)
+                  for i in range(npairs) for j in range(npairs))
+    used_i, used_j = set(), set()
+    lam_out = np.empty(npairs)
+    X_out = np.empty_like(X_prev)
+    for _, _, i, j in cand:
+        if i in used_i or j in used_j:
+            continue
+        used_i.add(i)
+        used_j.add(j)
+        vec = V_new[:, j]
+        if vec @ X_prev[i] < 0.0:
+            vec = -vec
+        lam_out[i] = w_new[j]
+        X_out[i] = vec
+    return lam_out, X_out
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def test_match_pairs_equals_the_greedy_loop(rng):
+    for trial in range(600):
+        n = int(rng.integers(1, 10))
+        if trial % 3 == 0:      # unrelated random eigendata
+            lam, X = rng.standard_normal(n), _orthogonal(rng, n)
+            w, V = np.sort(rng.standard_normal(n)), _orthogonal(rng, n)
+        elif trial % 3 == 1:    # ties: repeated values, exact 0/1 overlaps
+            lam = rng.integers(0, 3, n).astype(float)
+            X = (np.eye(n)[rng.permutation(n)]
+                 * rng.choice([-1.0, 1.0], n)[:, None])
+            w = np.sort(rng.integers(0, 3, n).astype(float))
+            V = np.eye(n)[:, rng.permutation(n)]
+        else:                   # a small step along a flow
+            w, V = np.sort(rng.standard_normal(n)), _orthogonal(rng, n)
+            lam = w + 1e-3 * rng.standard_normal(n)
+            X = (V + 1e-3 * rng.standard_normal((n, n))).T.copy()
+        want = _match_pairs_loop(lam, X, w, V)
+        got = znn._match_pairs(lam, X, w, V)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 # ---------------------------------------------------------------- detection
 
 def _predicting(cfg, A):
@@ -249,6 +301,41 @@ def test_detect_jump_threshold():
 
 
 # --------------------------------------------------------------------- runs
+
+@pytest.mark.parametrize("n", [7, 24])
+def test_predict_reaches_the_solve_hook_once_per_step(
+        monkeypatch, smooth7, separated_flow, n):
+    # perfbench/worker.py times the solve layer by wrapping the module
+    # global znn.solve_batch, counts systems with len() and labels by
+    # iterating the report, and tells startup derivative estimates from
+    # loop ones by the calling frame's name
+    assert (n < densela._BASIS_MIN_N) == (n == 7)
+    flow = smooth7 if n == 7 else separated_flow(n, seed=1)
+    reports, frames = [], []
+    solve, estimate = znn.solve_batch, znn.derivative_estimate
+
+    def solve_batch(Ps, qs, *args, **kwargs):
+        reports.append(solve(Ps, qs, *args, **kwargs))
+        return reports[-1]
+
+    def derivative_estimate(*args, **kwargs):
+        frames.append(sys._getframe(1).f_code.co_name)
+        return estimate(*args, **kwargs)
+    monkeypatch.setattr(znn, "solve_batch", solve_batch)
+    monkeypatch.setattr(znn, "derivative_estimate", derivative_estimate)
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=0.2)
+    traj = run(flow, cfg)
+    predicted = traj.kind.count("predicted")
+    assert predicted == len(traj.times) - cfg.s_star
+    assert len(reports) == predicted
+    for rep, methods in zip(reports, traj.solve_methods[cfg.s_star:]):
+        assert len(rep) == n
+        assert tuple(r.method for r in rep) == methods == ("direct",) * n
+    taps = cfg.derivative_rule.taps
+    assert frames[:cfg.s_star - taps + 1] == ["do_startup"] * (
+        cfg.s_star - taps + 1)
+    assert frames[cfg.s_star - taps + 1:] == ["observe"] * predicted
+
 
 def test_run_smooth_tags_and_residuals(smooth7):
     cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=0.5)

@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
 
 import numpy as np
 
-from .densela import fro_norm
 from .flows import (FlowFileError, JumpSchedule, MatrixFlow,
-                    OrthogonalRandomizer, SpanError, builtin_flows,
+                    OrthogonalRandomizer, builtin_flows,
                     conjugate, constant_flow, diag_linear_flow,
                     flow_from_file, with_jumps)
-from .formulas import (BackwardFormula, LookaheadRecursion, PRESETS,
-                       catalog, check_zero_stability)
+from .formulas import (BackwardFormula, LookaheadRecursion, catalog,
+                       check_zero_stability)
 from .harness import (build_report, convergence_sweep, naive_baseline,
                       timed_run)
 from .znn import NumericalAbort, SolverConfig
@@ -35,36 +35,31 @@ from .znn import NumericalAbort, SolverConfig
 __all__ = ["main"]
 
 _BUILTIN_NAMES = ("paper", "paper-raw", "constant3", "diag-linear")
+_PAPER_FLOWS = ("paper", "paper-raw")
 _DEFAULT_SEED = 7
 _DEFAULT_JUMPS = (8.0, 14.5)
 _METRICS = {"per-pair": "pair", "full-matrix": "matrix"}
 
-_KNOWN_KEYS = {"flow", "randomize_seed", "jumps", "tau", "eta", "mu",
-               "preset", "jump_threshold", "t0", "tf", "output", "metric"}
-
-# sentinel: "not specified" is distinct from an explicit null
-_UNSET = object()
+# the config file's keys and their defaults; jumps and randomize_seed
+# are resolved per flow and command in _merge_config
+_DEFAULTS = {
+    "flow": "paper",
+    "randomize_seed": None,
+    "jumps": None,
+    "tau": 0.005,
+    "eta": 4.5,
+    "mu": None,
+    "preset": "ifd5",
+    "jump_threshold": 300.0,
+    "t0": 0.0,
+    "tf": 20.0,
+    "output": "",
+    "metric": "per-pair",
+}
 
 
 class ConfigError(Exception):
     pass
-
-
-def _default_config() -> dict:
-    return {
-        "flow": "paper",
-        "randomize_seed": None,
-        "jumps": _UNSET,
-        "tau": 0.005,
-        "eta": 4.5,
-        "mu": None,
-        "preset": "ifd5",
-        "jump_threshold": 300.0,
-        "t0": 0.0,
-        "tf": 20.0,
-        "output": "",
-        "metric": "per-pair",
-    }
 
 
 def _parse_jumps(text: str):
@@ -78,57 +73,66 @@ def _parse_jumps(text: str):
 
 
 def _merge_config(args) -> dict:
-    cfg = _default_config()
-    if getattr(args, "config", None):
+    """Defaults, overridden by the --config file, overridden by flags.
+
+    Unspecified jumps are the benchmark's on the paper flows, none
+    elsewhere, and always none for ``converge``: a sweep across a
+    discontinuity would measure restart behaviour, not formula order.
+    """
+    given = {}
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                given = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - _KNOWN_KEYS
+        unknown = set(given) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        cfg.update(loaded)
-    for key in ("flow", "tau", "eta", "mu", "preset", "t0", "tf",
-                "output", "metric"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "jump_threshold", None) is not None:
-        cfg["jump_threshold"] = args.jump_threshold
-    if getattr(args, "seed", None) is not None:
-        cfg["randomize_seed"] = args.seed
-    if getattr(args, "jumps", None) is not None:
-        cfg["jumps"] = _parse_jumps(args.jumps)
+    for key in _DEFAULTS.keys() - {"randomize_seed", "jumps"}:
+        if getattr(args, key) is not None:     # a flag of the same name
+            given[key] = getattr(args, key)
+    if args.seed is not None:
+        given["randomize_seed"] = args.seed
+    if args.jumps is not None:
+        given["jumps"] = _parse_jumps(args.jumps)
+    cfg = {**_DEFAULTS, **given}
     _validate_config(cfg)
+    if args.command == "converge":
+        if cfg["jumps"]:
+            raise ConfigError("converge runs on the smooth flow; drop jumps")
+        cfg["jumps"] = None
+    elif "jumps" not in given and cfg["flow"] in _PAPER_FLOWS:
+        cfg["jumps"] = list(_DEFAULT_JUMPS)
+    if cfg["jumps"] is not None:
+        cfg["jumps"] = [float(t) for t in cfg["jumps"]]
+    if cfg["randomize_seed"] is None and cfg["flow"] == "paper":
+        cfg["randomize_seed"] = _DEFAULT_SEED
     return cfg
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _validate_config(cfg: dict) -> None:
+    """What SolverConfig cannot check: JSON types, flow, metric, seed and
+    the jump list.  Numeric ranges are SolverConfig's."""
     flow = cfg["flow"]
     if not isinstance(flow, str) or not flow:
         raise ConfigError("flow must be a builtin name or a file path")
     for key in ("tau", "eta", "jump_threshold", "t0", "tf"):
-        v = cfg[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{key} must be a number, got {v!r}")
-    if cfg["mu"] is not None and not isinstance(cfg["mu"], (int, float)):
+        if not _is_number(cfg[key]):
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+    if cfg["mu"] is not None and not _is_number(cfg["mu"]):
         raise ConfigError("mu must be a number or null")
-    if cfg["tau"] <= 0:
-        raise ConfigError("tau must be positive")
-    if cfg["eta"] <= 0:
-        raise ConfigError("eta must be positive")
-    if cfg["tf"] <= cfg["t0"]:
-        raise ConfigError("tf must exceed t0")
-    if cfg["preset"] not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {cfg['preset']!r}; pick one of "
-            f"{', '.join(sorted(PRESETS))}")
+    if not isinstance(cfg["preset"], str):
+        raise ConfigError(f"preset must be a string, got {cfg['preset']!r}")
     if cfg["metric"] not in _METRICS:
         raise ConfigError("metric must be 'per-pair' or 'full-matrix'")
     seed = cfg["randomize_seed"]
@@ -136,45 +140,32 @@ def _validate_config(cfg: dict) -> None:
                              or isinstance(seed, bool)):
         raise ConfigError("randomize_seed must be an integer or null")
     jumps = cfg["jumps"]
-    if jumps is not _UNSET and jumps is not None:
+    if jumps is not None:
         if (not isinstance(jumps, (list, tuple))
-                or not all(isinstance(t, (int, float))
-                           and not isinstance(t, bool) for t in jumps)):
-            raise ConfigError("jumps must be a list of times or null")
+                or not all(_is_number(t) and math.isfinite(t)
+                           for t in jumps)):
+            raise ConfigError("jumps must be a list of finite times or null")
         if list(jumps) != sorted(jumps) or len(set(jumps)) != len(jumps):
-            raise ConfigError("jump times must be strictly increasing")
-        if flow not in ("paper", "paper-raw"):
+            raise ConfigError("jumps must be strictly increasing")
+        if flow not in _PAPER_FLOWS:
             raise ConfigError(
                 f"jumps are only defined for the 'paper'/'paper-raw' "
                 f"flows, not {flow!r}")
 
 
-def _resolve_flow(cfg: dict, smooth_only: bool = False) -> MatrixFlow:
-    """Build the MatrixFlow a config describes.
-
-    ``smooth_only`` (the converge command) rejects explicit jumps and
-    drops the benchmark flow's default ones: a sweep across a
-    discontinuity would measure restart behaviour, not formula order.
-    """
+def _resolve_flow(cfg: dict) -> MatrixFlow:
+    """Build the MatrixFlow a merged config describes."""
     name = cfg["flow"]
-    jumps = cfg["jumps"]
-    if smooth_only and jumps is not _UNSET and jumps:
-        raise ConfigError("converge runs on the smooth flow; drop jumps")
-    if name in ("paper", "paper-raw"):
+    if name in _PAPER_FLOWS:
         pool = builtin_flows()
         base, alt = pool["A_s"], pool["A_sj"]
         if name == "paper":
-            seed = cfg["randomize_seed"]
-            rand = OrthogonalRandomizer.from_seed(
-                base.n, _DEFAULT_SEED if seed is None else seed)
+            rand = OrthogonalRandomizer.from_seed(base.n,
+                                                  cfg["randomize_seed"])
             base = conjugate(base, rand)
             alt = conjugate(alt, rand)
-        if smooth_only:
-            return base
-        if jumps is _UNSET:
-            jumps = list(_DEFAULT_JUMPS)
-        if jumps:
-            return with_jumps(base, alt, JumpSchedule(tuple(jumps)))
+        if cfg["jumps"]:
+            return with_jumps(base, alt, JumpSchedule(cfg["jumps"]))
         return base
     if name == "constant3":
         return constant_flow(np.eye(3), label="constant3")
@@ -191,6 +182,8 @@ def _resolve_flow(cfg: dict, smooth_only: bool = False) -> MatrixFlow:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
+    """The run parameters of a merged config; raises ValueError on a bad
+    value (SolverConfig's checks)."""
     return SolverConfig.from_preset(
         cfg["preset"], tau=float(cfg["tau"]), eta=float(cfg["eta"]),
         mu=(None if cfg["mu"] is None else float(cfg["mu"])),
@@ -198,19 +191,8 @@ def _solver_config(cfg: dict) -> SolverConfig:
         t0=float(cfg["t0"]), tf=float(cfg["tf"]))
 
 
-def _config_echo(cfg: dict) -> dict:
-    echo = {k: cfg[k] for k in sorted(_KNOWN_KEYS)}
-    if echo["jumps"] is _UNSET:
-        echo["jumps"] = (list(_DEFAULT_JUMPS)
-                         if cfg["flow"] in ("paper", "paper-raw") else None)
-    elif echo["jumps"] is not None:
-        echo["jumps"] = [float(t) for t in echo["jumps"]]
-    if echo["randomize_seed"] is None and cfg["flow"] == "paper":
-        echo["randomize_seed"] = _DEFAULT_SEED
-    rec, der = PRESETS[cfg["preset"]]
-    echo["recursion"] = rec
-    echo["derivative"] = der
-    return echo
+def _config_echo(cfg: dict, solver: SolverConfig) -> dict:
+    return dict(cfg, recursion=solver.recursion, derivative=solver.derivative)
 
 
 def _out_path(prefix: str, leaf: str) -> str:
@@ -248,9 +230,8 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_run(cfg: dict) -> int:
+def cmd_run(cfg: dict, solver: SolverConfig) -> int:
     flow = _resolve_flow(cfg)
-    solver = _solver_config(cfg)
     prefix = cfg["output"]
     csv_path = _out_path(prefix, "trajectory.csv")
     json_path = _out_path(prefix, "report.json")
@@ -265,7 +246,7 @@ def cmd_run(cfg: dict) -> int:
                           metric=_METRICS[cfg["metric"]])
     payload = {
         "command": "run",
-        "config": _config_echo(cfg),
+        "config": _config_echo(cfg, solver),
         "summary": report.summary,
         "restarts": [[t, v] for t, v in report.restarts],
         "excluded_windows": [[r, lo, hi]
@@ -335,10 +316,9 @@ def cmd_formulas(as_json: bool) -> int:
     return 0
 
 
-def cmd_baseline(cfg: dict) -> int:
+def cmd_baseline(cfg: dict, solver: SolverConfig) -> int:
     flow = _resolve_flow(cfg)
-    rep = naive_baseline(flow, tau=float(cfg["tau"]), t0=float(cfg["t0"]),
-                         tf=float(cfg["tf"]),
+    rep = naive_baseline(flow, tau=solver.tau, t0=solver.t0, tf=solver.tf,
                          metric=_METRICS[cfg["metric"]])
     prefix = cfg["output"]
     csv_path = _out_path(prefix, "baseline.csv")
@@ -352,7 +332,7 @@ def cmd_baseline(cfg: dict) -> int:
                 fh.write(f"{t_txt},{i + 1},{_g17(rep.residuals[k, i])}\n")
     _write_json(json_path, {
         "command": "baseline",
-        "config": _config_echo(cfg),
+        "config": _config_echo(cfg, solver),
         "summary": rep.summary,
     })
     print(f"wrote {csv_path} and {json_path} "
@@ -360,12 +340,9 @@ def cmd_baseline(cfg: dict) -> int:
     return 0
 
 
-def cmd_converge(cfg: dict, taus: List[float]) -> int:
-    if len(taus) < 3:
-        raise ConfigError("converge needs at least three sampling gaps")
-    flow = _resolve_flow(cfg, smooth_only=True)
-    template = _solver_config(cfg)
-    sweep = convergence_sweep(flow, template, taus)
+def cmd_converge(cfg: dict, solver: SolverConfig, taus: List[float]) -> int:
+    flow = _resolve_flow(cfg)
+    sweep = convergence_sweep(flow, solver, taus)
     prefix = cfg["output"]
     csv_path = _out_path(prefix, "converge.csv")
     json_path = _out_path(prefix, "report.json")
@@ -375,7 +352,7 @@ def cmd_converge(cfg: dict, taus: List[float]) -> int:
             fh.write(f"{_g17(tau_i)},{_g17(eta_i)},{_g17(med)}\n")
     _write_json(json_path, {
         "command": "converge",
-        "config": _config_echo(cfg),
+        "config": _config_echo(cfg, solver),
         "taus": [float(t) for t in sweep.taus],
         "etas": [float(e) for e in sweep.etas],
         "medians": [float(m) for m in sweep.medians],
@@ -431,27 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "formulas":
+        return cmd_formulas(args.as_json)
     try:
-        if args.command == "formulas":
-            return cmd_formulas(args.as_json)
         cfg = _merge_config(args)
+        solver = _solver_config(cfg)
         if args.command == "run":
-            return cmd_run(cfg)
+            return cmd_run(cfg, solver)
         if args.command == "baseline":
-            return cmd_baseline(cfg)
-        if args.command == "converge":
-            taus = [float(p) for p in args.taus.split(",") if p.strip()]
-            return cmd_converge(cfg, taus)
-    except ConfigError as exc:
+            return cmd_baseline(cfg, solver)
+        taus = [float(p) for p in args.taus.split(",") if p.strip()]
+        return cmd_converge(cfg, solver, taus)
+    except (ConfigError, ValueError) as exc:   # SpanError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SpanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -238,9 +238,10 @@ def flow_from_file(path) -> MatrixFlow:
     Format: a header line ``n=<dim> tau=<gap> t0=<start>`` followed by one
     block per sample -- n lines of n space-separated numbers -- with blank
     lines between blocks.  The flow is defined only at the recorded
-    instants; queries in between raise InterpolationError.  Samples with a
-    NaN or infinite entry, or whose asymmetry exceeds 1e-12 (max entry
-    difference), are rejected outright.
+    instants; queries in between raise InterpolationError.  A non-finite
+    header ``tau`` or ``t0``, and samples with a NaN or infinite entry, or
+    whose asymmetry exceeds 1e-12 (max entry difference), are rejected
+    outright.
     """
     with open(path) as fh:
         text = fh.read()
@@ -260,6 +261,9 @@ def flow_from_file(path) -> MatrixFlow:
         t0 = float(fields["t0"])
     except (KeyError, ValueError) as exc:
         raise FlowFileError(f"header must give n, tau, t0: {exc}") from exc
+    for key, val in (("tau", tau), ("t0", t0)):
+        if not math.isfinite(val):
+            raise FlowFileError(f"header {key}={fields[key]} is not finite")
     if n <= 0:
         raise FlowFileError(f"bad dimension n={n}")
     if tau <= 0:

@@ -64,6 +64,20 @@ def _exactness_degree(weights, offsets, target_d):
         p = k
 
 
+def _backward_degree(coeffs, denom) -> int:
+    """Exactness degree of ``sum_j coeffs[j] A(t_{k-j}) / (denom * tau)``."""
+    return _exactness_degree([Fraction(c) for c in coeffs],
+                             [-j for j in range(len(coeffs))], Fraction(denom))
+
+
+def _recursion_order(c, a) -> int:
+    """Truncation order of the recursion with weights c and a (see
+    ``LookaheadRecursion``)."""
+    return 1 + _exactness_degree([Fraction(1)] + [-Fraction(x) for x in a],
+                                 [1] + [-j for j in range(len(a))],
+                                 Fraction(c))
+
+
 @dataclass(frozen=True)
 class BackwardFormula:
     """Derivative estimator using the current sample and earlier ones.
@@ -84,11 +98,7 @@ class BackwardFormula:
         return len(self.coeffs)
 
     def __post_init__(self):
-        got = _exactness_degree(
-            [Fraction(c) for c in self.coeffs],
-            [-j for j in range(len(self.coeffs))],
-            Fraction(self.denom),
-        )
+        got = _backward_degree(self.coeffs, self.denom)
         if got != self.order:
             raise FormulaError(
                 f"{self.name}: declared order {self.order}, derived {got}")
@@ -128,11 +138,7 @@ class LookaheadRecursion:
             raise FormulaError(
                 f"{self.name}: derivative weight {self.c} breaks first-order "
                 f"consistency (forced value {forced})")
-        got = 1 + _exactness_degree(
-            [Fraction(1)] + [-aj for aj in a],
-            [1] + [-j for j in range(len(a))],
-            Fraction(self.c),
-        )
+        got = _recursion_order(self.c, a)
         if got != self.order:
             raise FormulaError(
                 f"{self.name}: declared order {self.order}, derived {got}")
@@ -185,14 +191,10 @@ def complete_recursion(a: Sequence, name: str = "custom") -> LookaheadRecursion:
     if sum(a) != 1:
         raise FormulaError("state weights must sum to 1 exactly")
     c = 1 + sum(j * aj for j, aj in enumerate(a))
-    degree = _exactness_degree(
-        [Fraction(1)] + [-aj for aj in a],
-        [1] + [-j for j in range(len(a))],
-        c,
-    )
-    if degree < 1:
+    order = _recursion_order(c, a)
+    if order < 2:
         raise FormulaError("completed rule is not even first-order exact")
-    return LookaheadRecursion(name=name, c=c, a=a, order=degree + 1,
+    return LookaheadRecursion(name=name, c=c, a=a, order=order,
                               reconstructed=True)
 
 
@@ -204,17 +206,9 @@ def truncation_order(rule: Union[BackwardFormula, LookaheadRecursion]) -> int:
     Both are recomputed here rather than read off the declaration.
     """
     if isinstance(rule, BackwardFormula):
-        return _exactness_degree(
-            [Fraction(c) for c in rule.coeffs],
-            [-j for j in range(rule.taps)],
-            Fraction(rule.denom),
-        )
+        return _backward_degree(rule.coeffs, rule.denom)
     if isinstance(rule, LookaheadRecursion):
-        return 1 + _exactness_degree(
-            [Fraction(1)] + [-Fraction(aj) for aj in rule.a],
-            [1] + [-j for j in range(rule.taps)],
-            Fraction(rule.c),
-        )
+        return _recursion_order(rule.c, rule.a)
     raise FormulaError(f"not a cataloged rule type: {type(rule)!r}")
 
 

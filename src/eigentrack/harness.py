@@ -8,7 +8,7 @@ a report doubles as a cross-check of the run itself.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .densela import fro_norm, residual
 from .flows import MatrixFlow
 from .formulas import catalog, derivative_estimate
-from .znn import SolverConfig, Trajectory, _static_blocks, run
+from .znn import SolverConfig, Trajectory, _static_blocks, run, sample_times
 
 __all__ = [
     "residual",
@@ -231,10 +231,10 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = 0.0,
     continues from the last pairs of the one before, so the result does
     not depend on the block size.
     """
-    K = int(round((tf - t0) / tau))
+    times = sample_times(t0, tf, tau)
+    K = times.size - 1
     if K < 1:
         raise ValueError("span shorter than one sampling gap")
-    times = t0 + tau * np.arange(K + 1)
     res = np.empty((K, flow.n))
     vals = np.empty(K)
     A = flow.sample(float(times[0]))
@@ -285,20 +285,16 @@ def convergence_sweep(flow: MatrixFlow, template: SolverConfig,
     """
     taus = np.asarray(sorted(taus, reverse=True), dtype=float)
     if taus.size < 3:
-        raise ValueError("convergence sweep needs at least three gaps")
+        raise ValueError("taus: a sweep needs at least three gaps")
     if np.unique(taus).size != taus.size:
-        raise ValueError("sampling gaps must be distinct")
+        raise ValueError("taus: sampling gaps must be distinct")
     h = template.eta * template.tau
     mu_ratio = template.mu / template.eta
     etas = h / taus
     medians = np.empty(taus.size)
     for i, (tau_i, eta_i) in enumerate(zip(taus, etas)):
-        cfg = SolverConfig(tau=float(tau_i), eta=float(eta_i),
-                           mu=float(mu_ratio * eta_i),
-                           recursion=template.recursion,
-                           derivative=template.derivative,
-                           jump_threshold=template.jump_threshold,
-                           t0=template.t0, tf=template.tf)
+        cfg = replace(template, tau=float(tau_i), eta=float(eta_i),
+                      mu=float(mu_ratio * eta_i))
         traj = run(flow, cfg)
         rep = build_report(flow, traj)
         medians[i] = rep.summary["median_residual"]
@@ -315,11 +311,10 @@ def derivative_trace(flow: MatrixFlow, config: SolverConfig):
     (times, norms).
     """
     der = config.derivative_rule
-    K = int(round((config.tf - config.t0) / config.tau))
-    times = config.t0 + config.tau * np.arange(K + 1)
-    norms = np.full(K + 1, np.nan)
+    times = config.times
+    norms = np.full(times.size, np.nan)
     samples = np.stack([flow.sample(float(t)) for t in times])
-    for k in range(der.taps - 1, K + 1):
+    for k in range(der.taps - 1, times.size):
         est = derivative_estimate(der, samples[k::-1], config.tau)
         norms[k] = fro_norm(est)
     return times, norms

@@ -19,6 +19,7 @@ over a flow's sampling grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -31,7 +32,8 @@ from .densela import fro_norm, residual, sym_eig_batch
 # positional arguments and a report of one entry per pair.
 from .densela import solve_bordered as solve_batch
 from .flows import MatrixFlow
-from .formulas import PRESETS, catalog, derivative_estimate
+from .formulas import (PRESETS, BackwardFormula, LookaheadRecursion, catalog,
+                       derivative_estimate)
 
 __all__ = [
     "SolverConfig",
@@ -40,6 +42,7 @@ __all__ = [
     "NumericalAbort",
     "Tracker",
     "run",
+    "sample_times",
 ]
 
 _CATALOG = catalog()
@@ -56,13 +59,20 @@ class NumericalAbort(RuntimeError):
         self.trajectory = trajectory
 
 
+def sample_times(t0: float, tf: float, tau: float) -> np.ndarray:
+    """The sampling grid t_k = t0 + k*tau, k = 0..K, K = round((tf-t0)/tau)."""
+    K = int(round((tf - t0) / tau))
+    return t0 + tau * np.arange(K + 1)
+
+
 @dataclass
 class SolverConfig:
     """Everything a run needs: gaps, gains, rules, thresholds, span.
 
     ``mu`` (the normalization decay rate) defaults to ``eta``.  The
     startup length s* is the larger tap count of the chosen recursion and
-    derivative formula.
+    derivative formula.  A ``jump_threshold`` of ``inf`` never restarts.
+    Every field is checked here, so a bad value fails on construction.
     """
 
     tau: float
@@ -77,21 +87,29 @@ class SolverConfig:
     def __post_init__(self):
         if self.mu is None:
             self.mu = self.eta
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.eta <= 0 or self.mu <= 0:
-            raise ValueError("decay constants must be positive")
+        for name in ("tau", "eta", "mu", "t0", "tf"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0 and name in ("tau", "eta", "mu"):
+                raise ValueError(f"{name} must be positive")
         if self.tf <= self.t0:
             raise ValueError("tf must exceed t0")
-        if self.recursion not in _CATALOG:
-            raise ValueError(f"unknown recursion {self.recursion!r}")
-        if self.derivative not in _CATALOG:
-            raise ValueError(f"unknown derivative formula {self.derivative!r}")
+        if not self.jump_threshold > 0:     # NaN included
+            raise ValueError(
+                f"jump_threshold must be positive (inf never restarts), "
+                f"got {self.jump_threshold!r}")
+        for name, kind in (("recursion", LookaheadRecursion),
+                           ("derivative", BackwardFormula)):
+            if not isinstance(_CATALOG.get(getattr(self, name)), kind):
+                raise ValueError(f"{name} {getattr(self, name)!r} is not a "
+                                 f"cataloged {kind.__name__}")
 
     @classmethod
     def from_preset(cls, preset: str, **kwargs) -> "SolverConfig":
         if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}")
+            raise ValueError(f"unknown preset {preset!r}; pick one of "
+                             f"{', '.join(sorted(PRESETS))}")
         rec, der = PRESETS[preset]
         return cls(recursion=rec, derivative=der, **kwargs)
 
@@ -106,6 +124,10 @@ class SolverConfig:
     @property
     def s_star(self) -> int:
         return max(self.recursion_rule.taps, self.derivative_rule.taps)
+
+    @property
+    def times(self) -> np.ndarray:
+        return sample_times(self.t0, self.tf, self.tau)
 
 
 @dataclass
@@ -342,9 +364,8 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     """
     s_star = config.s_star
     n = flow.n
-    tau = config.tau
-    K = int(round((config.tf - config.t0) / tau))
-    times = config.t0 + tau * np.arange(K + 1)
+    times = config.times
+    K = times.size - 1
     if times[0] < flow.span[0] or times[-1] > flow.span[1]:
         raise ValueError("configured span leaves the flow's domain")
 

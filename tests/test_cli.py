@@ -184,11 +184,31 @@ def test_run_abort_at_first_instant(tmp_path, capsys, monkeypatch):
     ("run", "--jumps", "3.0,1.0"),
     ("converge", "--taus", "0.01"),
     ("converge", "--taus", "0.01,0.005,0.0025", "--jumps", "1.0"),
+    ("run", "--tf", "inf"),
+    ("run", "--eta", "nan"),
+    ("run", "--jump-threshold", "nan"),
+    ("run", "--jump-threshold", "-5"),
+    ("baseline", "--tau", "nan"),
+    ("run", "--jumps", "nan"),
 ])
 def test_config_errors_exit_2(argv, tmp_path, capsys):
     rc = run_cli(*argv, "--output", str(tmp_path) + "/")
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    # the message names the parameter whose flag comes last
+    assert argv[-2].lstrip("-").replace("-", "_") in err
+
+
+def test_infinite_jump_threshold_never_restarts(tmp_path):
+    out = str(tmp_path) + "/"
+    rc = run_cli("run", "--flow", "paper-raw", "--tau", "0.005",
+                 "--jumps", "1.0", "--tf", "2.0", "--jump-threshold", "inf",
+                 "--output", out)
+    assert rc == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["summary"]["restarts"] == 0
+    assert payload["config"]["jump_threshold"] == float("inf")
 
 
 def test_run_non_finite_flow_file_exit_2(tmp_path, capsys):
@@ -207,6 +227,16 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     rc = run_cli("run", "--config", str(cfg_path))
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [{"preset": ["ifd5"]}, {"tau": "0.01"},
+                                   {"jumps": [1.0, "2"]}])
+def test_config_file_wrong_type_exit_2(entry, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(entry))
+    rc = run_cli("run", "--config", str(cfg_path))
+    assert rc == 2
+    assert next(iter(entry)) in capsys.readouterr().err
 
 
 def test_malformed_config_file_exit_2(tmp_path, capsys):
@@ -294,6 +324,7 @@ def test_converge_outputs(tmp_path, capsys):
     assert gains == pytest.approx([0.045] * 3)
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["command"] == "converge"
+    assert payload["config"]["jumps"] is None     # the sweep has no jumps
     assert 2.5 < payload["slope"] < 5.5
     meds = payload["medians"]
     assert meds[0] > meds[1] > meds[2] > 0

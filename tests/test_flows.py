@@ -165,9 +165,11 @@ def test_flow_file_off_grid_rejected(tmp_path):
 
 def test_flow_file_bad_header(tmp_path):
     path = tmp_path / "bad.flow"
-    path.write_text("n=2 tau=0.01\n1 0\n0 1\n")
-    with pytest.raises(FlowFileError):
-        flow_from_file(path)
+    for header, field in (("n=2 tau=0.01", "t0"), ("n=2 tau=nan t0=0", "tau"),
+                          ("n=2 tau=0.01 t0=inf", "t0")):
+        path.write_text(header + "\n1 0\n0 1\n")
+        with pytest.raises(FlowFileError, match=field):
+            flow_from_file(path)
 
 
 def test_flow_file_wrong_block_size(tmp_path):

@@ -35,10 +35,35 @@ def test_config_defaults_and_presets():
     dict(tau=0.01, eta=1.0, tf=-1.0),
     dict(tau=0.01, eta=1.0, recursion="nope"),
     dict(tau=0.01, eta=1.0, derivative="nope"),
+    dict(tau=float("nan"), eta=1.0),
+    dict(tau=float("inf"), eta=1.0),
+    dict(tau=0.01, eta=float("nan")),
+    dict(tau=0.01, eta=float("inf")),
+    dict(tau=0.01, eta=1.0, mu=float("nan")),
+    dict(tau=0.01, eta=1.0, mu=float("inf")),
+    dict(tau=0.01, eta=1.0, t0=float("nan")),
+    dict(tau=0.01, eta=1.0, t0=-float("inf")),
+    dict(tau=0.01, eta=1.0, tf=float("nan")),
+    dict(tau=0.01, eta=1.0, tf=float("inf")),
+    dict(tau=0.01, eta=1.0, jump_threshold=float("nan")),
+    dict(tau=0.01, eta=1.0, jump_threshold=0.0),
+    dict(tau=0.01, eta=1.0, jump_threshold=-1.0),
+    dict(tau=0.01, eta=1.0, recursion="BDF4pt"),   # a derivative formula
+    dict(tau=0.01, eta=1.0, derivative="IFD5"),    # a recursion
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+def test_config_times_is_the_one_grid(smooth7):
+    cfg = SolverConfig(tau=0.03, eta=4.5, t0=0.1, tf=0.5)
+    assert np.array_equal(cfg.times, 0.1 + 0.03 * np.arange(14))
+    assert np.array_equal(cfg.times, znn.sample_times(0.1, 0.5, 0.03))
+    assert np.array_equal(run(smooth7, cfg).times, cfg.times)
+    assert np.array_equal(et.derivative_trace(smooth7, cfg)[0], cfg.times)
+    base = et.naive_baseline(smooth7, tau=0.03, t0=0.1, tf=0.5)
+    assert np.array_equal(base.times, cfg.times[1:])
 
 
 def test_unknown_preset():

@@ -224,9 +224,25 @@ def _write_trajectory_csv(path: str, traj) -> None:
                                 kind))
 
 
+def _json_safe(value):
+    """``value`` with every NaN or infinite float replaced by None.
+
+    JSON has no literal for them, and strict parsers reject the
+    ``NaN``/``Infinity`` tokens ``json`` would otherwise write.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(val) for val in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "bordered_stack",
     "solve_augmented",
     "fro_norm",
+    "fro_norms",
     "residual",
 ]
 
@@ -112,36 +113,57 @@ def fro_norm(M) -> float:
     return math.sqrt(v.dot(v))
 
 
+def fro_norms(M) -> np.ndarray:
+    """``fro_norm`` of each matrix in a stack, with the same arithmetic.
+
+    ``matmul`` of a row with a column is the same BLAS dot as
+    ``v.dot(v)`` (``einsum`` is not), so entry b equals
+    ``fro_norm(M[b])`` bit for bit for C-ordered members.
+    """
+    V = np.asarray(M, dtype=float).reshape(len(M), -1)
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
+
+
 def residual(A, z, metric: str = "pair"):
     """Relative eigen-equation defect of stacked vectors against A.
 
     ``z`` may be a single stacked vector (n+1,) or a block (n, n+1) with
     one row per pair.  With ``metric="pair"`` the result is
     ||A x - lambda x||_2 / ||A||_F per pair; ``metric="matrix"`` collapses
-    the block to ||A V - V D||_F / (||A||_F ||V||_F).  The predictor logs
-    with it and the harness recomputes with it, so the two agree exactly.
+    the block to ||A V - V D||_F / (||A||_F ||V||_F).  A stack of
+    matrices (B, n, n) with a stack of blocks (B, n, n+1) scores B
+    instants at once: (B, n) per-pair values, or (B,) for ``"matrix"``.
+    A stack runs the same expressions over its leading axis, member by
+    member, so the predictor's per-instant log and the harness's block
+    recomputation agree bit for bit.
     """
     A = np.asarray(A, dtype=float)
     z = np.asarray(z, dtype=float)
-    n = A.shape[0]
-    single = (z.ndim == 1)
-    Zb = z[None, :] if single else z
-    if Zb.shape[1] != n + 1:
+    n = A.shape[-1]
+    if z.shape[-1] != n + 1:
         raise ValueError(f"stacked vectors must have {n + 1} entries")
-    X = Zb[:, :n]
-    lam = Zb[:, n]
-    R = X @ A.T - lam[:, None] * X
-    a_nrm = fro_norm(A)
-    if a_nrm == 0.0:
-        a_nrm = 1.0
+    stacked = (A.ndim == 3)
+    Zb = z[None, :] if z.ndim == 1 else z
+    X = Zb[..., :n]
+    R = X @ A.swapaxes(-1, -2)
+    R -= Zb[..., n, None] * X
+    if stacked:
+        a_nrm = fro_norms(A)[:, None]
+        a_nrm[a_nrm == 0.0] = 1.0
+    else:
+        a_nrm = fro_norm(A) or 1.0
     if metric == "pair":
-        out = np.sqrt(np.add.reduce(R * R, axis=1)) / a_nrm
-        return float(out[0]) if single else out
+        R *= R
+        out = np.sqrt(np.add.reduce(R, axis=-1))
+        out /= a_nrm
+        return float(out[0]) if z.ndim == 1 else out
     if metric == "matrix":
-        v_nrm = np.sqrt((X * X).sum())
-        if v_nrm == 0.0:
-            v_nrm = 1.0
-        return float(np.sqrt((R * R).sum()) / (a_nrm * v_nrm))
+        v_nrm = np.sqrt((X * X).sum(axis=(-2, -1)))
+        out = np.sqrt((R * R).sum(axis=(-2, -1)))
+        if not stacked:
+            return float(out / (a_nrm * (v_nrm or 1.0)))
+        v_nrm[v_nrm == 0.0] = 1.0
+        return out / (a_nrm[:, 0] * v_nrm)
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -11,7 +11,9 @@ orthogonal similarity without touching the spectrum.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -236,69 +238,94 @@ def flow_from_file(path) -> MatrixFlow:
     """Load an equally spaced sampled flow from a plain-text file.
 
     Format: a header line ``n=<dim> tau=<gap> t0=<start>`` followed by one
-    block per sample -- n lines of n space-separated numbers -- with blank
-    lines between blocks.  The flow is defined only at the recorded
-    instants; queries in between raise InterpolationError.  A non-finite
-    header ``tau`` or ``t0``, and samples with a NaN or infinite entry, or
-    whose asymmetry exceeds 1e-12 (max entry difference), are rejected
-    outright.
+    block per sample -- n lines of n whitespace-separated ASCII decimal
+    numbers -- with blank or whitespace-only lines between blocks.  The
+    flow is defined only at the recorded instants; queries in between
+    raise InterpolationError.  A non-finite header ``tau`` or ``t0``, a
+    block that is not n rows of n numbers, and samples with a NaN or
+    infinite entry, or whose asymmetry exceeds 1e-12 (max entry
+    difference), are rejected outright; the message names the first bad
+    block.
     """
     with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise FlowFileError("empty flow file")
-    header = lines[0].split()
-    fields = {}
-    for tok in header:
-        if "=" not in tok:
-            raise FlowFileError(f"bad header token {tok!r}")
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    try:
-        n = int(fields["n"])
-        tau = float(fields["tau"])
-        t0 = float(fields["t0"])
-    except (KeyError, ValueError) as exc:
-        raise FlowFileError(f"header must give n, tau, t0: {exc}") from exc
-    for key, val in (("tau", tau), ("t0", t0)):
-        if not math.isfinite(val):
-            raise FlowFileError(f"header {key}={fields[key]} is not finite")
-    if n <= 0:
-        raise FlowFileError(f"bad dimension n={n}")
-    if tau <= 0:
-        raise FlowFileError(f"sampling gap must be positive, got {tau}")
-
-    samples = []
-    block = []
-    for raw in lines[1:] + [""]:
-        if raw.strip():
-            block.append(raw)
-            continue
-        if not block:
-            continue
-        if len(block) != n:
-            raise FlowFileError(
-                f"sample block {len(samples)} has {len(block)} rows, expected {n}")
+        header = fh.readline()
+        if not header:
+            raise FlowFileError("empty flow file")
+        fields = {}
+        for tok in header.split():
+            if "=" not in tok:
+                raise FlowFileError(f"bad header token {tok!r}")
+            key, _, val = tok.partition("=")
+            fields[key] = val
         try:
-            M = np.array([[float(x) for x in row.split()] for row in block])
+            n = int(fields["n"])
+            tau = float(fields["tau"])
+            t0 = float(fields["t0"])
+        except (KeyError, ValueError) as exc:
+            raise FlowFileError(f"header must give n, tau, t0: {exc}") from exc
+        for key, val in (("tau", tau), ("t0", t0)):
+            if not math.isfinite(val):
+                raise FlowFileError(f"header {key}={fields[key]} is not finite")
+        if n <= 0:
+            raise FlowFileError(f"bad dimension n={n}")
+        if tau <= 0:
+            raise FlowFileError(f"sampling gap must be positive, got {tau}")
+
+        # numpy's reader sees only the rows; the generator counts each
+        # block's rows as they stream by and stops after a wrong-sized one
+        sizes = []
+        rows_in_block = 0
+
+        def rows():
+            nonlocal rows_in_block
+            for line in fh:
+                if not line.isspace():
+                    rows_in_block += 1
+                    yield line
+                elif rows_in_block:
+                    sizes.append(rows_in_block)
+                    if rows_in_block != n:
+                        return
+                    rows_in_block = 0
+            if rows_in_block:
+                sizes.append(rows_in_block)
+
+        stream = rows()
+        first = next(stream, None)
+        if first is None:
+            raise FlowFileError("no sample blocks found")
+        width = len(first.split())
+        if width != n:
+            raise FlowFileError(
+                f"sample block 0 row 1 has {width} entries, expected {n}")
+        try:
+            data = np.loadtxt(itertools.chain([first], stream),
+                              comments=None, ndmin=2)
         except ValueError as exc:
-            raise FlowFileError(f"non-numeric entry: {exc}") from exc
-        if M.shape != (n, n):
             raise FlowFileError(
-                f"sample block {len(samples)} is {M.shape}, expected ({n}, {n})")
-        if not np.isfinite(M).all():
-            raise FlowFileError(
-                f"sample block {len(samples)} has a non-finite entry")
-        if np.abs(M - M.T).max() > 1e-12:
-            raise FlowFileError(
-                f"sample block {len(samples)} is asymmetric beyond tolerance")
-        samples.append(_mirror_upper(M))
-        block = []
-    if not samples:
-        raise FlowFileError("no sample blocks found")
-    data = np.array(samples)
-    count = len(samples)
+                f"sample block {len(sizes)} row {rows_in_block}: {exc}") from exc
+    if sizes[-1] != n:
+        raise FlowFileError(
+            f"sample block {len(sizes) - 1} has {sizes[-1]} rows, expected {n}")
+    count = len(sizes)
+    data = data.reshape(count, n, n)
+
+    # Blocks are judged in file order, finiteness before symmetry: the
+    # asymmetry test runs only on the blocks before the first non-finite
+    # one (inf - inf would be NaN there), and whichever test fails first
+    # names its block.
+    finite = np.isfinite(data).all(axis=(1, 2))
+    k_bad = count if finite.all() else int(np.argmin(finite))
+    gap = data[:k_bad] - data[:k_bad].transpose(0, 2, 1)
+    np.abs(gap, out=gap)
+    asym = np.flatnonzero(gap.max(axis=(1, 2)) > 1e-12)
+    del gap
+    if asym.size:
+        raise FlowFileError(
+            f"sample block {asym[0]} is asymmetric beyond tolerance")
+    if k_bad < count:
+        raise FlowFileError(f"sample block {k_bad} has a non-finite entry")
+    data = np.where(_upper_mask(n), data, data.transpose(0, 2, 1))
     hi = t0 + (count - 1) * tau
 
     def sampler(t: float) -> np.ndarray:
@@ -318,17 +345,22 @@ def write_flow_file(path, flow: MatrixFlow, t0: float, tau: float,
     """Record ``count`` equally spaced samples of a flow to a text file.
 
     Numbers are written with 17 significant digits, so reading the file
-    back reproduces the sampled matrices bit for bit.
+    back reproduces the sampled matrices bit for bit.  Blocks are written
+    as they are sampled; if a sample fails, the partial file is removed,
+    since its complete blocks would load as a shorter flow.
     """
     if tau <= 0:
         raise ValueError("sampling gap must be positive")
     if count < 1:
         raise ValueError("need at least one sample")
-    out = [f"n={flow.n} tau={tau:.17g} t0={t0:.17g}"]
-    for k in range(count):
-        M = flow.sample(t0 + k * tau)
-        for row in M:
-            out.append(" ".join(f"{x:.17g}" for x in row))
-        out.append("")
     with open(path, "w") as fh:
-        fh.write("\n".join(out))
+        try:
+            fh.write(f"n={flow.n} tau={tau:.17g} t0={t0:.17g}")
+            for k in range(count):
+                M = flow.sample(t0 + k * tau)
+                fh.write("\n" + "\n".join(" ".join(f"{x:.17g}" for x in row)
+                                          for row in M) + "\n")
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise

@@ -398,9 +398,9 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         Z[k0:last + 1] = blocks
         # a one-sample window has no estimate: index k0 keeps the spike
         da_norms[k0 + 1:last + 1] = norms[1:]
+        residuals[k0:last + 1] = residual(samples, blocks)
         for j, k in enumerate(range(k0, last + 1)):
             kind[k] = first_kind if j == 0 else "startup"
-            residuals[k] = residual(samples[j], blocks[j])
             solve_methods[k] = ("static",) * n
         return last
 

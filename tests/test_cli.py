@@ -17,6 +17,15 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_strict_json(path):
+    """Parse a written report as strict JSON: no NaN or Infinity tokens."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 # --------------------------------------------------------------------------
 # run
 
@@ -206,9 +215,17 @@ def test_infinite_jump_threshold_never_restarts(tmp_path):
                  "--jumps", "1.0", "--tf", "2.0", "--jump-threshold", "inf",
                  "--output", out)
     assert rc == 0
-    payload = json.loads((tmp_path / "report.json").read_text())
+    payload = load_strict_json(tmp_path / "report.json")
     assert payload["summary"]["restarts"] == 0
-    assert payload["config"]["jump_threshold"] == float("inf")
+    assert payload["config"]["jump_threshold"] is None
+
+
+def test_write_json_maps_non_finite_to_null(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_json(str(path), {"a": [float("nan"), 1.5, (np.inf, 2)],
+                                "b": {"c": -np.inf, "d": np.float64(0.25)}})
+    assert load_strict_json(path) == {"a": [None, 1.5, [None, 2]],
+                                      "b": {"c": None, "d": 0.25}}
 
 
 def test_run_non_finite_flow_file_exit_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Benchmark flows, conjugation, jump composition, and the file format."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +208,177 @@ def test_sample_rejects_non_finite():
                                                 [np.nan, 1.0]]), label="bad")
     with pytest.raises(ValueError, match="non-finite"):
         flow.sample(0.0)
+
+
+# ------------------------------------------------------- flow file reader
+
+def _join_based_flow_text(flow, t0, tau, count):
+    """The file text as the first writer built it: every line in one list,
+    joined once.  Kept as the oracle for the block-by-block writer."""
+    out = [f"n={flow.n} tau={tau:.17g} t0={t0:.17g}"]
+    for k in range(count):
+        for row in flow.sample(t0 + k * tau):
+            out.append(" ".join(f"{x:.17g}" for x in row))
+        out.append("")
+    return "\n".join(out)
+
+
+def _recorded(flow, count, t0=0.0, tau=0.01):
+    return np.array([flow.sample(t0 + k * tau) for k in range(count)])
+
+
+def test_write_flow_file_bytes_equal_the_joined_text(tmp_path, separated_flow):
+    for flow in (diag_linear_flow(), separated_flow(5, 3)):
+        path = tmp_path / "f.flow"
+        write_flow_file(path, flow, t0=-0.25, tau=0.01, count=13)
+        expected = _join_based_flow_text(flow, -0.25, 0.01, 13)
+        assert path.read_bytes() == expected.encode()
+
+
+def test_write_flow_file_removes_a_partial_file(tmp_path):
+    def sampler(t):
+        if t > 0.025:
+            raise RuntimeError("sensor dropped out")
+        return np.eye(2)
+
+    path = tmp_path / "partial.flow"
+    with pytest.raises(RuntimeError):
+        write_flow_file(path, et.MatrixFlow(2, sampler), t0=0.0, tau=0.01,
+                        count=5)
+    assert not path.exists()
+
+
+def test_flow_file_samples_are_bit_exact(tmp_path, separated_flow):
+    flow = separated_flow(9, 4)
+    path = tmp_path / "dense.flow"
+    write_flow_file(path, flow, t0=0.0, tau=0.01, count=30)
+    loaded = _recorded(flow_from_file(path), 30)
+    expected = _recorded(flow, 30)
+    assert np.array_equal(loaded.view(np.uint64), expected.view(np.uint64))
+
+
+_PLAIN = "n=2 tau=0.5 t0=1\n1 2\n2 3\n\n4 -5\n-5 6\n\n0.5 0\n0 7\n"
+
+
+@pytest.mark.parametrize("text", [
+    _PLAIN.replace("\n", "\r\n"),
+    _PLAIN.replace(" ", "\t"),
+    _PLAIN.replace("\n\n", "\n\n \n\t\n\n"),
+    _PLAIN.replace("1 2\n", "  1 \t 2  \n"),
+    _PLAIN.rstrip("\n"),
+    _PLAIN.rstrip("\n").replace("\n", "\r\n") + "\r\n\r\n   ",
+], ids=["crlf", "tabs", "blank-runs", "padded-row", "no-final-newline",
+        "crlf-trailing-blanks"])
+def test_flow_file_layouts_read_the_same(tmp_path, text):
+    path = tmp_path / "plain.flow"
+    path.write_text(_PLAIN)
+    expected = _recorded(flow_from_file(path), 3, t0=1.0, tau=0.5)
+    path.write_bytes(text.encode())
+    loaded = flow_from_file(path)
+    assert loaded.span == (1.0, 2.0)
+    assert np.array_equal(_recorded(loaded, 3, t0=1.0, tau=0.5), expected)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1 0\n0 1\n\n1 0 0\n0 1\n", "sample block 1 row 1"),
+    ("1 0\n0 1\n\n1 0\n0\n", "sample block 1 row 2"),
+    ("1 0 0\n0 1 0\n", "sample block 0 row 1 has 3 entries"),
+    ("1 0\n0 1\n\n1 0\n\n1 0\n0 1\n", "sample block 1 has 1 rows"),
+    ("1 0\n0 1\n\n1 0\n0 1\n0 1\n", "sample block 1 has 3 rows"),
+    ("1 0\n0 1\n\n1 0\n0 x\n\n1\n", "sample block 1 row 2"),
+], ids=["long-row", "short-row", "wide-first-row", "short-block",
+        "long-block", "bad-token-before-short-block"])
+def test_flow_file_shape_errors_name_the_block(tmp_path, body, message):
+    path = tmp_path / "bad.flow"
+    path.write_text("n=2 tau=0.01 t0=0\n" + body)
+    with pytest.raises(FlowFileError, match=message):
+        flow_from_file(path)
+
+
+@pytest.mark.parametrize("text", ["n=2 tau=0.01 t0=0\n",
+                                  "n=2 tau=0.01 t0=0",
+                                  "n=2 tau=0.01 t0=0\n\n  \n\t\n"])
+def test_flow_file_header_only(tmp_path, text):
+    path = tmp_path / "empty.flow"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowFileError, match="no sample blocks found"):
+            flow_from_file(path)
+
+
+def test_flow_file_empty(tmp_path):
+    path = tmp_path / "empty.flow"
+    path.write_text("")
+    with pytest.raises(FlowFileError, match="empty flow file"):
+        flow_from_file(path)
+
+
+@pytest.mark.parametrize("token", ["#", "1#", "#1", "abc", "1_000",
+                                   "١", "0x1", "1,0", "1e", "--1"])
+def test_flow_file_non_numeric_tokens_rejected(tmp_path, token):
+    path = tmp_path / "bad.flow"
+    path.write_text(f"n=2 tau=0.01 t0=0\n1 0\n0 1\n\n1 0\n0 {token}\n")
+    with pytest.raises(FlowFileError, match="sample block 1 row 2"):
+        flow_from_file(path)
+
+
+_NUMERALS = ["-0.0", "0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+             "1.7976931348623157e+308", "0.10000000000000001",
+             "-1.2345678901234567", "12345678901234567", "1.", ".5", "-.5",
+             "+1.5", "1e5", "1E+05", "2.5e-3", "-7.25E-03", "+.5e1"]
+
+
+def test_flow_file_numerals_equal_python_float(tmp_path):
+    # one number per 1 x 1 block, so every numeral is a sample of its own
+    path = tmp_path / "numerals.flow"
+    path.write_text("n=1 tau=1 t0=0\n" + "\n\n".join(_NUMERALS) + "\n")
+    loaded = flow_from_file(path)
+    values = np.array([loaded.sample(float(k))[0, 0]
+                       for k in range(len(_NUMERALS))])
+    expected = np.array([float(s) for s in _NUMERALS])
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (["1 0.5\n0 1", "1 0\n0 nan"], "sample block 0 is asymmetric"),
+    (["1 0\n0 nan", "1 0.5\n0 1"], "sample block 0 has a non-finite"),
+    (["1 0\n0 1", "inf 0\n0 1", "1 0.5\n0 1"],
+     "sample block 1 has a non-finite"),
+    (["1 0\n0 1", "1 0\n0 1", "1 1e-11\n0 1", "1 0\n-inf 1"],
+     "sample block 2 is asymmetric"),
+], ids=["asymmetric-then-nan", "nan-then-asymmetric", "inf-first",
+        "asymmetric-first"])
+def test_flow_file_value_errors_name_the_first_bad_block(tmp_path, blocks,
+                                                         message):
+    path = tmp_path / "bad.flow"
+    path.write_text("n=2 tau=0.01 t0=0\n" + "\n\n".join(blocks) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowFileError, match=message):
+            flow_from_file(path)
+
+
+def test_flow_file_mirrors_the_upper_triangle(tmp_path):
+    # asymmetry below the 1e-12 tolerance is accepted; the lower triangle
+    # is then taken from the upper one, so every sample is exactly symmetric
+    path = tmp_path / "near.flow"
+    path.write_text("n=2 tau=0.01 t0=0\n1 0\n0 1\n\n"
+                    "1 0.5\n0.5000000000000004 2\n")
+    loaded = flow_from_file(path)
+    assert np.array_equal(loaded.sample(0.01), [[1.0, 0.5], [0.5, 2.0]])
+
+
+def test_flow_file_load_memory_is_bounded(tmp_path, separated_flow):
+    path = tmp_path / "big.flow"
+    n, count = 24, 150
+    write_flow_file(path, separated_flow(n, 2), t0=0.0, tau=0.01, count=count)
+    sample_bytes = count * n * n * 8
+    tracemalloc.start()
+    try:
+        loaded = flow_from_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.span[1] == pytest.approx(0.01 * (count - 1))
+    assert peak <= 4 * sample_bytes

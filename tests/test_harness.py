@@ -1,6 +1,7 @@
 """Metrics, reports, baseline, sweep, and derivative trace."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,53 @@ def test_orth_deviation_values():
     X[2, 2] = 0.0                            # one vector vanishes
     assert orth_deviation(X) == 1.0
     assert orth_deviation(2.0 * np.eye(2)) == pytest.approx(np.sqrt(18.0))
+
+
+def _residual_one_instant(A, Z, metric):
+    """Per-instant residual arithmetic, kept as the reference the stacked
+    form must reproduce bit for bit."""
+    n = A.shape[0]
+    X, lam = Z[:, :n], Z[:, n]
+    R = X @ A.T - lam[:, None] * X
+    v = A.ravel()
+    a_nrm = math.sqrt(v.dot(v)) or 1.0
+    if metric == "pair":
+        return np.sqrt(np.add.reduce(R * R, axis=1)) / a_nrm
+    v_nrm = np.sqrt((X * X).sum()) or 1.0
+    return np.sqrt((R * R).sum()) / (a_nrm * v_nrm)
+
+
+def _orth_one_instant(Z):
+    n = Z.shape[0]
+    G = Z[:, :n] @ Z[:, :n].T - np.eye(n)
+    v = G.ravel()
+    return math.sqrt(v.dot(v))
+
+
+@pytest.mark.parametrize("n", [7, 32])
+def test_stacked_scores_equal_the_per_instant_arithmetic(n, separated_flow):
+    flow = separated_flow(n, 11)
+    rng = np.random.default_rng(n)
+    A = np.stack([flow.sample(0.01 * k) for k in range(402)])
+    w, V = np.linalg.eigh(A)
+    Z = np.concatenate([V.transpose(0, 2, 1), w[:, :, None]], axis=2)
+    Z += 1e-6 * rng.standard_normal(Z.shape)
+    for lo, hi in ((0, 402), (0, 64), (100, 356), (401, 402)):
+        for metric in ("pair", "matrix"):
+            want = np.array([_residual_one_instant(A[k], Z[k], metric)
+                             for k in range(lo, hi)])
+            got = residual(A[lo:hi], Z[lo:hi], metric=metric)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = np.array([_orth_one_instant(Z[k]) for k in range(lo, hi)])
+        got = orth_deviation(Z[lo:hi])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the predictor's per-instant calls take the same arithmetic
+    for k in (0, 250):
+        assert np.array_equal(residual(A[k], Z[k]),
+                              _residual_one_instant(A[k], Z[k], "pair"))
+        assert residual(A[k], Z[k], metric="matrix") == \
+            _residual_one_instant(A[k], Z[k], "matrix")
+        assert orth_deviation(Z[k]) == _orth_one_instant(Z[k])
 
 
 # ------------------------------------------------------------ steady window
@@ -128,6 +176,22 @@ def test_build_report_matrix_samples_each_instant_once():
     assert len(calls) == traj.times.size
 
 
+@pytest.mark.parametrize("metric", ["pair", "matrix"])
+def test_report_blocks_do_not_change_the_report(monkeypatch, short_run,
+                                                metric):
+    from eigentrack import harness
+    flow, traj = short_run
+    monkeypatch.setattr(harness, "_BLOCK", 10 ** 6)
+    whole = build_report(flow, traj, metric=metric)
+    monkeypatch.setattr(harness, "_BLOCK", 7)
+    blocks = build_report(flow, traj, metric=metric)
+    assert np.array_equal(blocks.residuals, whole.residuals)
+    assert np.array_equal(blocks.orth, whole.orth)
+    assert blocks.summary == whole.summary
+    assert np.array_equal(whole.orth,
+                          [_orth_one_instant(z) for z in traj.z])
+
+
 # ----------------------------------------------------------------- baseline
 
 def test_baseline_oracle_on_diag_flow():
@@ -164,9 +228,9 @@ def test_baseline_blocks_do_not_change_the_report(monkeypatch, metric):
     flow = et.conjugate(
         et.MatrixFlow(3, lambda t: np.diag([t, 1.0, 2.0]), label="cross"),
         et.OrthogonalRandomizer.from_seed(3, 5))
-    monkeypatch.setattr(harness, "_BASELINE_BLOCK", 10 ** 6)
+    monkeypatch.setattr(harness, "_BLOCK", 10 ** 6)
     whole = naive_baseline(flow, tau=0.03, tf=2.97, metric=metric)
-    monkeypatch.setattr(harness, "_BASELINE_BLOCK", 7)
+    monkeypatch.setattr(harness, "_BLOCK", 7)
     blocks = naive_baseline(flow, tau=0.03, tf=2.97, metric=metric)
     assert whole.times.size == 99
     assert np.array_equal(blocks.times, whole.times)

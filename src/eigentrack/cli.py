@@ -275,10 +275,24 @@ def cmd_run(cfg: dict, solver: SolverConfig) -> int:
         print(f"numerical abort: {aborted}", file=sys.stderr)
         print(f"partial trajectory written to {csv_path}", file=sys.stderr)
         return 3
+    summary = report.summary
     print(f"wrote {csv_path} and {json_path} "
           f"({report.row_count()} instants, "
-          f"{report.summary['restarts']} restarts)")
+          f"{summary['restarts']} restarts){_whole_run(summary)}")
     return 0
+
+
+def _whole_run(summary: dict) -> str:
+    """The whole-run maxima and the instants the steady summary left out,
+    as a tail for the run command's one-line result."""
+    if "run_max_residual" not in summary:
+        return ""
+    return (f"; whole run: max residual {summary['run_max_residual']:.2e}, "
+            f"max orth deviation {summary['run_max_orth_deviation']:.2e}, "
+            f"max |x'x-1| {summary['run_max_norm_defect']:.2e}, "
+            f"{summary['excluded_instants']} of "
+            f"{summary['predicted_instants']} predicted instants outside "
+            f"the steady summary")
 
 
 def cmd_formulas(as_json: bool) -> int:

@@ -149,18 +149,26 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     Residuals and orthogonality deviations are recomputed here rather
     than trusted from the run log; summaries are taken over the steady
     mask, per segment (segments are delimited by restarts) and overall.
+    The summary also holds whole-run maxima over every predicted instant
+    (``run_max_residual``, ``run_max_orth_deviation`` and
+    ``run_max_norm_defect``, the worst ``|x^T x - 1|``) and how many
+    predicted instants the steady mask excluded, so a run that diverges
+    inside an excluded window still shows it.
     """
     K1 = traj.times.size
     n = traj.n
     res = np.empty((K1, n))
     orth = np.empty(K1)
     mres = np.empty(K1)
+    norm_defect = np.empty(K1)     # worst |x^T x - 1| per instant
     for lo in range(0, K1, _BLOCK):
         hi = min(lo + _BLOCK, K1)
         A = np.stack([flow.sample(float(t)) for t in traj.times[lo:hi]])
         Z = traj.z[lo:hi]
         res[lo:hi] = residual(A, Z, metric="pair")
         orth[lo:hi] = orth_deviation(Z)
+        X = Z[..., :n]
+        norm_defect[lo:hi] = np.abs((X * X).sum(axis=2) - 1.0).max(axis=1)
         if metric == "matrix":
             mres[lo:hi] = residual(A, Z, metric="matrix")
     mask, windows = steady_mask(traj, res)
@@ -202,6 +210,18 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
         if mask.any():
             summary["median_residual"] = float(np.median(mres[mask]))
             summary["max_residual"] = float(mres[mask].max())
+    # the whole run: what the steady mask left out shows here
+    predicted = kinds == "predicted"
+    summary["predicted_instants"] = int(predicted.sum())
+    summary["excluded_instants"] = int((predicted & ~mask).sum())
+    if predicted.any():
+        summary["excluded_share"] = (summary["excluded_instants"]
+                                     / summary["predicted_instants"])
+        worst = mres if metric == "matrix" else res
+        summary["run_max_residual"] = float(worst[predicted].max())
+        summary["run_max_orth_deviation"] = float(orth[predicted].max())
+        summary["run_max_norm_defect"] = float(
+            norm_defect[predicted].max())
     if elapsed is not None:
         steps = max(K1 - 1, 1)
         per_step = elapsed / steps

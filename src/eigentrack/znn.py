@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _CATALOG = catalog()
+# The most sampling instants one run may have: 2500 times the 4001 of the
+# benchmark scenario; the (K+1, n, n+1) trajectory is then 4.5 GB at n = 7.
+MAX_INSTANTS = 10**7
 
 
 class NumericalAbort(RuntimeError):
@@ -72,7 +75,9 @@ class SolverConfig:
     ``mu`` (the normalization decay rate) defaults to ``eta``.  The
     startup length s* is the larger tap count of the chosen recursion and
     derivative formula.  A ``jump_threshold`` of ``inf`` never restarts.
-    Every field is checked here, so a bad value fails on construction.
+    Every field is checked here, so a bad value fails on construction;
+    that includes a grid of more than ``MAX_INSTANTS`` instants, which is
+    rejected before any of it is allocated.
     """
 
     tau: float
@@ -95,6 +100,12 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if self.tf <= self.t0:
             raise ValueError("tf must exceed t0")
+        steps = (self.tf - self.t0) / self.tau
+        if not math.isfinite(steps) or round(steps) + 1 > MAX_INSTANTS:
+            raise ValueError(
+                f"tau={self.tau!r} over [t0, tf] = [{self.t0!r}, "
+                f"{self.tf!r}] gives {steps + 1:.4g} instants; at most "
+                f"{MAX_INSTANTS} are allowed")
         if not self.jump_threshold > 0:     # NaN included
             raise ValueError(
                 f"jump_threshold must be positive (inf never restarts), "
@@ -186,34 +197,61 @@ def _rhs_batch(A, dA, Z, eta: float, mu: float, qs=None):
     return qs
 
 
+def _first_choices(dist, aov, axis):
+    """Each row's (axis 1) or column's (axis 0) first candidate: least
+    distance, then larger |overlap|, then lower index."""
+    best = dist.min(axis=axis, keepdims=True)
+    return np.where(dist == best, aov, -1.0).argmax(axis=axis)
+
+
 def _match_pairs(lam_prev, X_prev, w_new, V_new):
     """Greedy continuity matching of fresh static eigendata to tracked pairs.
 
-    Pairs are assigned in order of increasing eigenvalue distance, ties
-    broken by larger eigenvector overlap, then by tracked index, then by
-    fresh index; the chosen eigenvector is then sign-aligned with its
-    predecessor.
+    The greedy order assigns pairs by increasing eigenvalue distance,
+    ties broken by larger eigenvector overlap, then by tracked index,
+    then by fresh index; the chosen eigenvector is then sign-aligned
+    with its predecessor.  The greedy result is built in passes over the
+    pairs still unmatched.  A pass takes each tracked pair's first
+    candidate; when these are all distinct, they are the greedy result
+    and the matching ends (on a continuity step, the first pass).
+    Otherwise the pass assigns every locally dominant pair, first in both
+    its row and its column, which greedy would assign too, and the next
+    pass works on the rows and columns left (Preis, STACS 1999).
     """
-    npairs = len(lam_prev)
-    overlaps = X_prev @ V_new            # (npairs, npairs)
-    dist = np.abs(lam_prev[:, None] - w_new[None, :])
-    # a stable sort: full ties keep the row-major (i, j) order
-    order = np.lexsort((-np.abs(overlaps).ravel(), dist.ravel()))
-    used_i = [False] * npairs
-    used_j = [False] * npairs
-    match = [0] * npairs
-    left = npairs
-    for flat in order.tolist():
-        i, j = divmod(flat, npairs)
-        if used_i[i] or used_j[j]:
-            continue
-        used_i[i] = used_j[j] = True
-        match[i] = j
-        left -= 1
-        if not left:
-            break
-    sign = np.where(overlaps[np.arange(npairs), match] < 0.0, -1.0, 1.0)
-    return w_new[match], V_new.T[match] * sign[:, None]
+    overlaps = X_prev @ V_new            # (n, n): tracked x fresh
+    dist = np.abs(lam_prev[:, None] - w_new)
+    aov = np.abs(overlaps)
+    match = _first_choices(dist, aov, 1)
+    n = match.size
+    if len(set(match.tolist())) < n:
+        match = _dominant_rounds(dist, aov, match)
+    X = V_new.T[match]
+    np.negative(X, out=X, where=overlaps[np.arange(n), match][:, None] < 0.0)
+    return w_new[match], X
+
+
+def _dominant_rounds(dist, aov, first):
+    """The passes of ``_match_pairs`` after a first pass whose first
+    choices ``first`` collide; returns the fresh index of each row."""
+    match = np.empty(first.size, dtype=np.intp)
+    rows = cols = np.arange(first.size)
+    d, a = dist, aov
+    while True:
+        # at least the least pair left dominates, so every pass shrinks
+        # the problem (the eigendata are finite: sym_eig_batch checks)
+        dominant = _first_choices(d, a, 0)[first] == np.arange(rows.size)
+        match[rows[dominant]] = cols[first[dominant]]
+        free = np.ones(cols.size, dtype=bool)
+        free[first[dominant]] = False
+        rows, cols = rows[~dominant], cols[free]
+        if not rows.size:
+            return match
+        left = np.ix_(rows, cols)
+        d, a = dist[left], aov[left]
+        first = _first_choices(d, a, 1)
+        if len(set(first.tolist())) == rows.size:
+            match[rows] = cols[first]
+            return match
 
 
 def _static_blocks(samples, prev=None):

@@ -54,6 +54,19 @@ def test_run_constant3_csv_schema(tmp_path, capsys):
     assert all(abs(float(r[2]) - 1.0) < 1e-9 for r in predicted)
 
 
+def test_run_prints_the_whole_run_fields(tmp_path, capsys):
+    out = str(tmp_path) + "/"
+    assert run_cli("run", "--tf", "2.0", "--output", out) == 0
+    line = capsys.readouterr().out
+    summ = load_strict_json(tmp_path / "report.json")["summary"]
+    assert summ["predicted_instants"] == 397     # 401 less s* = 4
+    assert (f"whole run: max residual {summ['run_max_residual']:.2e}, "
+            f"max orth deviation {summ['run_max_orth_deviation']:.2e}, "
+            f"max |x'x-1| {summ['run_max_norm_defect']:.2e}, "
+            f"{summ['excluded_instants']} of 397 predicted instants "
+            f"outside the steady summary") in line
+
+
 def test_run_report_config_echo(tmp_path):
     out = str(tmp_path) + "/"
     rc = run_cli("run", "--tau", "0.01", "--tf", "1.0", "--output", out)
@@ -207,6 +220,20 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     assert "error:" in err
     # the message names the parameter whose flag comes last
     assert argv[-2].lstrip("-").replace("-", "_") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tau", "5e-324"),       # (tf - t0) / tau overflows to inf
+    ("--tau", "1e-300"),
+    ("--tf", "1e12"),
+])
+def test_grid_over_the_instant_limit_exit_2(argv, tmp_path, capsys):
+    rc = run_cli("run", *argv, "--output", str(tmp_path) + "/")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "instants; at most 10000000 are allowed" in err
+    assert "tau=" in err and "tf" in err
+    assert not list(tmp_path.iterdir())      # rejected before any output
 
 
 def test_infinite_jump_threshold_never_restarts(tmp_path):

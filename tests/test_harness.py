@@ -149,6 +149,37 @@ def test_build_report_matches_logged_residuals(short_run):
     assert rep.segments[0]["steady_instants"] == int(rep.mask.sum())
 
 
+def test_report_whole_run_fields_show_a_hidden_failure(short_run):
+    flow, traj = short_run
+    clean = build_report(flow, traj)
+    k = int(np.flatnonzero(clean.mask)[100])
+    z = traj.z.copy()
+    z[k:k + 5, 0] *= 3.0               # pair 0 leaves the eigenpair
+    bad = build_report(flow, dataclasses.replace(traj, z=z))
+    pad = traj.config.s_star + 10
+    # the steady summary stays clean: the glitch rule masks the window
+    assert not bad.mask[k - pad:k + 5 + pad].any()
+    assert bad.summary["median_residual"] == pytest.approx(
+        clean.summary["median_residual"], rel=1e-2)
+    for key in ("max_residual", "max_orth_deviation"):
+        assert bad.summary[key] <= clean.summary[key]
+    # the whole-run fields show the damage; the clean run's own glitch at
+    # the avoided crossing near t = 1.9 lifts them above the steady ones
+    assert clean.summary["run_max_residual"] < 1e-4
+    assert bad.summary["run_max_residual"] > 0.1
+    assert clean.summary["run_max_norm_defect"] < 1e-2
+    assert bad.summary["run_max_norm_defect"] == pytest.approx(8.0)
+    assert clean.summary["run_max_orth_deviation"] < 1e-2
+    assert bad.summary["run_max_orth_deviation"] > 8.0
+    predicted = traj.kind.count("predicted")
+    for rep in (clean, bad):
+        assert rep.summary["predicted_instants"] == predicted
+        assert rep.summary["excluded_share"] == (
+            rep.summary["excluded_instants"] / predicted)
+    assert (bad.summary["excluded_instants"]
+            >= clean.summary["excluded_instants"] + 5 + 2 * pad)
+
+
 def test_build_report_matrix_metric(short_run):
     flow, traj = short_run
     rep = build_report(flow, traj, metric="matrix")

@@ -56,6 +56,19 @@ def test_config_validation(kwargs):
         SolverConfig(**kwargs)
 
 
+def test_config_bounds_the_grid_before_allocating_it(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a sampling grid was allocated")
+    monkeypatch.setattr(np, "arange", no_grid)
+    for kwargs in (dict(tau=5e-324), dict(tau=1e-300),
+                   dict(tau=0.005, tf=1e12),
+                   dict(tau=1.0, tf=float(znn.MAX_INSTANTS))):
+        with pytest.raises(ValueError, match="instants; at most 10000000"):
+            SolverConfig(eta=1.0, **kwargs)
+    # the largest grid allowed: K + 1 = MAX_INSTANTS instants
+    SolverConfig(tau=1.0, eta=1.0, tf=float(znn.MAX_INSTANTS - 1))
+
+
 def test_config_times_is_the_one_grid(smooth7):
     cfg = SolverConfig(tau=0.03, eta=4.5, t0=0.1, tf=0.5)
     assert np.array_equal(cfg.times, 0.1 + 0.03 * np.arange(14))
@@ -275,6 +288,50 @@ def _orthogonal(rng, n):
     return np.linalg.qr(rng.standard_normal((n, n)))[0]
 
 
+def _chain(m):
+    """Tracked and fresh eigenvalues alternating on a line at growing
+    gaps: row i > 0 first chooses column i - 1, settled only after row
+    i - 1 takes it, so each pass frees the next contest."""
+    points = np.concatenate([[0.0], np.cumsum(1.0 + 0.1 * np.arange(2 * m))])
+    return points[0:2 * m:2], points[1:2 * m:2]
+
+
+def _contested_cases(rng):
+    """Eigendata whose tracked pairs' first choices collide, so the
+    matching needs more than its first pass."""
+    # two tracked pairs nearest the same fresh eigenvalue
+    Q, R = _orthogonal(rng, 3), _orthogonal(rng, 3)
+    yield np.array([1.0, 1.25, 5.0]), Q, np.array([1.1, 3.0, 5.0]), R
+    # ... at an equal distance, so the overlap decides
+    yield np.array([1.0, 1.2, 5.0]), Q, np.array([1.1, 3.0, 5.0]), R
+    for m in (4, 9):
+        lam, w = _chain(m)
+        yield lam, _orthogonal(rng, m), w, _orthogonal(rng, m)
+    # all eigenvalues equal, overlaps 0 or +-1: tracked rows that repeat
+    # a unit vector or vanish contest the same fresh vector
+    for n in (2, 5, 8):
+        rows = rng.integers(0, n, n)
+        rows[1] = rows[0]
+        signs = rng.choice([-1.0, 0.0, 1.0], n)
+        signs[:2] = rng.choice([-1.0, 1.0], 2)
+        X = np.eye(n)[rows] * signs[:, None]
+        V = np.eye(n)[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+        yield np.ones(n), X, np.ones(n), V
+
+
+def _continuity_steps(rng):
+    """A fresh decomposition one step along a random flow from the
+    tracked one, at sizes where the matching runs on larger arrays."""
+    for n in (32, 64):
+        A = rng.standard_normal((n, n))
+        A += A.T
+        E = rng.standard_normal((n, n))
+        w0, V0 = np.linalg.eigh(A)
+        for step in (1e-3, 0.3):       # the larger step contests pairs
+            w, V = np.linalg.eigh(A + step * (E + E.T))
+            yield w0, V0.T.copy(), w, V
+
+
 def test_match_pairs_equals_the_greedy_loop(rng):
     for trial in range(600):
         n = int(rng.integers(1, 10))
@@ -295,6 +352,34 @@ def test_match_pairs_equals_the_greedy_loop(rng):
         got = znn._match_pairs(lam, X, w, V)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+    contested = list(_contested_cases(rng))
+    for lam, X, w, V in contested:
+        first = znn._first_choices(np.abs(lam[:, None] - w),
+                                   np.abs(X @ V), 1)
+        assert len(set(first.tolist())) < len(lam)
+    for lam, X, w, V in contested + list(_continuity_steps(rng)):
+        want = _match_pairs_loop(lam, X, w, V)
+        got = znn._match_pairs(lam, X, w, V)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_match_pairs_chain_takes_a_pass_per_link(monkeypatch, rng):
+    # the chain's passes each settle one contest: the first pass plus a
+    # row and a column pass for each of the m - 1 contested links
+    m = 6
+    lam, w = _chain(m)
+    calls = []
+    first_choices = znn._first_choices
+
+    def counted(dist, aov, axis):
+        calls.append(axis)
+        return first_choices(dist, aov, axis)
+    monkeypatch.setattr(znn, "_first_choices", counted)
+    X, V = _orthogonal(rng, m), _orthogonal(rng, m)
+    got = znn._match_pairs(lam, X, w, V)
+    assert np.array_equal(got[0], w)               # pair i keeps column i
+    assert calls == [1] + [0, 1] * (m - 1)
 
 
 # ---------------------------------------------------------------- detection

@@ -277,7 +277,7 @@ def cmd_run(cfg: dict, solver: SolverConfig) -> int:
         return 3
     summary = report.summary
     print(f"wrote {csv_path} and {json_path} "
-          f"({report.row_count()} instants, "
+          f"({traj.times.size} instants, "
           f"{summary['restarts']} restarts){_whole_run(summary)}")
     return 0
 

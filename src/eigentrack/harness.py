@@ -8,14 +8,14 @@ a report doubles as a cross-check of the run itself.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .densela import fro_norm, fro_norms, residual
 from .flows import MatrixFlow
-from .formulas import catalog, derivative_estimate
+from .formulas import derivative_estimate
 from .znn import SolverConfig, Trajectory, _static_blocks, run, sample_times
 
 __all__ = [
@@ -38,8 +38,9 @@ _TRANSIENT_PAD = 10
 _GLITCH_FACTOR = 1000.0
 # relative residuals at or below this are numerically exact, never glitches
 _GLITCH_FLOOR = 1e-13
-# build_report and naive_baseline sample and score this many instants at
-# a time, so their memory stays bounded on long spans of large matrices
+# build_report, naive_baseline and derivative_trace sample this many
+# instants at a time, so their memory stays bounded on long spans of
+# large matrices
 # (at n = 7, blocks of 256 raised the benchmark's peak RSS by 0.2 MB
 # over scoring one instant at a time, and blocks of 128 by 0.04 MB)
 _BLOCK = 128
@@ -63,6 +64,22 @@ def orth_deviation(block):
     return fro_norms(G)
 
 
+def _spans(flags):
+    """The maximal runs of True in a boolean array, in order, as an (m, 2)
+    array of (start, stop) indices, stop exclusive."""
+    edges = np.diff(np.concatenate(([False], flags, [False])))
+    return np.flatnonzero(edges).reshape(-1, 2)
+
+
+def _widen(flags, before: int, after: int):
+    """``flags`` with each run of True extended by ``before`` instants
+    back and ``after`` instants forward, clipped to the array."""
+    out = np.zeros_like(flags)
+    for lo, hi in _spans(flags):
+        out[max(lo - before, 0):hi + after] = True
+    return out
+
+
 def steady_mask(traj: Trajectory, residuals: np.ndarray):
     """Boolean mask of instants that count as steady state, plus exclusions.
 
@@ -70,53 +87,25 @@ def steady_mask(traj: Trajectory, residuals: np.ndarray):
     s* + 10 steps after each startup block, and glitch windows: instants
     whose worst-pair residual exceeds 1000x the provisional steady median,
     padded by s* + 10 steps each side.  Returns (mask, windows) where each
-    window is a (reason, t_lo, t_hi) tuple.
+    window is a (reason, t_lo, t_hi) tuple: the startup windows, then the
+    glitch windows, each a maximal span of instants excluded for that
+    reason.  A glitch window may reach into a startup window.
     """
-    kinds = np.asarray(traj.kind)
-    K1 = len(kinds)
-    s_star = traj.config.s_star
-    pad = s_star + _TRANSIENT_PAD
-    windows: List[Tuple[str, float, float]] = []
-
-    mask = kinds == "predicted"
-    # transient tail after every startup block
-    in_block = ~mask
-    k = 0
-    while k < K1:
-        if in_block[k]:
-            start = k
-            while k < K1 and in_block[k]:
-                k += 1
-            tail_end = min(k + pad, K1)
-            mask[start:tail_end] = False
-            windows.append(("startup", float(traj.times[start]),
-                            float(traj.times[tail_end - 1])))
-            k = tail_end
-        else:
-            k += 1
-
-    worst = np.nanmax(residuals, axis=1)
+    pad = traj.config.s_star + _TRANSIENT_PAD
+    excluded = {"startup": _widen(np.asarray(traj.kind) != "predicted",
+                                  0, pad)}
+    mask = ~excluded["startup"]
     if mask.any():
         provisional = float(np.median(residuals[mask]))
         # floor the threshold: on flows tracked to exact zero the median
         # collapses and 1000x(nothing) would flag plain rounding noise
         threshold = max(_GLITCH_FACTOR * provisional, _GLITCH_FLOOR)
-        glitch = mask & (worst > threshold)
-        if glitch.any():
-            excl = np.zeros(K1, dtype=bool)
-            for g in np.flatnonzero(glitch):
-                excl[max(g - pad, 0):min(g + pad + 1, K1)] = True
-            k = 0
-            while k < K1:     # log maximal contiguous spans, not instants
-                if excl[k]:
-                    start = k
-                    while k < K1 and excl[k]:
-                        k += 1
-                    windows.append(("glitch", float(traj.times[start]),
-                                    float(traj.times[k - 1])))
-                else:
-                    k += 1
-            mask &= ~excl
+        glitch = mask & (np.nanmax(residuals, axis=1) > threshold)
+        excluded["glitch"] = _widen(glitch, pad, pad)
+        mask &= ~excluded["glitch"]
+    windows = [(reason, float(traj.times[lo]), float(traj.times[hi - 1]))
+               for reason, flags in excluded.items()
+               for lo, hi in _spans(flags)]
     return mask, windows
 
 
@@ -124,21 +113,24 @@ def steady_mask(traj: Trajectory, residuals: np.ndarray):
 class RunReport:
     """Independently recomputed view of one trajectory."""
 
-    config: dict
-    times: np.ndarray
-    residuals: np.ndarray          # recomputed, (K+1, n)
+    residuals: np.ndarray          # recomputed per pair, (K+1, n)
     orth: np.ndarray               # (K+1,)
-    kinds: list
-    da_norms: np.ndarray
     mask: np.ndarray               # steady-state instants
     excluded_windows: list
     restarts: list                 # (t, spike norm) per restart
     segments: list                 # per-segment summaries (dicts)
     summary: dict
-    wall_seconds: Optional[float] = None
 
-    def row_count(self) -> int:
-        return self.times.size
+
+def _steady_stats(score, orth, mask) -> dict:
+    """Residual and orthogonality statistics over the steady instants of
+    one stretch of a run."""
+    stats = {"steady_instants": int(mask.sum())}
+    if mask.any():
+        stats["median_residual"] = float(np.median(score[mask]))
+        stats["max_residual"] = float(score[mask].max())
+        stats["max_orth_deviation"] = float(orth[mask].max())
+    return stats
 
 
 def build_report(flow: MatrixFlow, traj: Trajectory,
@@ -148,18 +140,20 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
 
     Residuals and orthogonality deviations are recomputed here rather
     than trusted from the run log; summaries are taken over the steady
-    mask, per segment (segments are delimited by restarts) and overall.
-    The summary also holds whole-run maxima over every predicted instant
-    (``run_max_residual``, ``run_max_orth_deviation`` and
-    ``run_max_norm_defect``, the worst ``|x^T x - 1|``) and how many
-    predicted instants the steady mask excluded, so a run that diverges
-    inside an excluded window still shows it.
+    mask, per segment (segments are delimited by restarts) and overall,
+    all in the chosen metric.  The steady mask is always built from the
+    per-pair residuals.  The summary also holds whole-run maxima over
+    every predicted instant (``run_max_residual``,
+    ``run_max_orth_deviation`` and ``run_max_norm_defect``, the worst
+    ``|x^T x - 1|``) and how many predicted instants the steady mask
+    excluded, so a run that diverges inside an excluded window still
+    shows it.
     """
     K1 = traj.times.size
     n = traj.n
     res = np.empty((K1, n))
+    score = np.empty(K1) if metric == "matrix" else res
     orth = np.empty(K1)
-    mres = np.empty(K1)
     norm_defect = np.empty(K1)     # worst |x^T x - 1| per instant
     for lo in range(0, K1, _BLOCK):
         hi = min(lo + _BLOCK, K1)
@@ -170,46 +164,23 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
         X = Z[..., :n]
         norm_defect[lo:hi] = np.abs((X * X).sum(axis=2) - 1.0).max(axis=1)
         if metric == "matrix":
-            mres[lo:hi] = residual(A, Z, metric="matrix")
+            score[lo:hi] = residual(A, Z, metric="matrix")
     mask, windows = steady_mask(traj, res)
 
-    restarts = [(float(e.t), e.da_norm) for e in traj.restart_events()]
-
-    # segment boundaries: start of run and each restart instant
     kinds = np.asarray(traj.kind)
-    bounds = [0] + list(np.flatnonzero(kinds == "restart-triggered")) + [K1]
-    if K1 == 0:        # aborted before the first instant was recorded
-        bounds = []
-    segments = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg_mask = mask.copy()
-        seg_mask[:lo] = False
-        seg_mask[hi:] = False
-        seg = {
-            "t_start": float(traj.times[lo]),
-            "t_end": float(traj.times[hi - 1]),
-            "steady_instants": int(seg_mask.sum()),
-        }
-        if seg_mask.any():
-            seg["median_residual"] = float(np.median(res[seg_mask]))
-            seg["max_residual"] = float(res[seg_mask].max())
-            seg["max_orth_deviation"] = float(orth[seg_mask].max())
-        segments.append(seg)
+    starts = np.flatnonzero(kinds == "restart-triggered")
+    restarts = list(zip(traj.times[starts].tolist(),
+                        traj.da_norms[starts].tolist()))
+    # segments run from the first instant and from each restart; a run
+    # aborted before its first instant has none
+    bounds = [0, *starts, K1] if K1 else []
+    segments = [{"t_start": float(traj.times[lo]),
+                 "t_end": float(traj.times[hi - 1]),
+                 **_steady_stats(score[lo:hi], orth[lo:hi], mask[lo:hi])}
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    summary = {
-        "instants": int(K1),
-        "steady_instants": int(mask.sum()),
-        "restarts": len(restarts),
-        "metric": metric,
-    }
-    if mask.any():
-        summary["median_residual"] = float(np.median(res[mask]))
-        summary["max_residual"] = float(res[mask].max())
-        summary["max_orth_deviation"] = float(orth[mask].max())
-    if metric == "matrix":
-        if mask.any():
-            summary["median_residual"] = float(np.median(mres[mask]))
-            summary["max_residual"] = float(mres[mask].max())
+    summary = {"instants": int(K1), "restarts": len(restarts),
+               "metric": metric, **_steady_stats(score, orth, mask)}
     # the whole run: what the steady mask left out shows here
     predicted = kinds == "predicted"
     summary["predicted_instants"] = int(predicted.sum())
@@ -217,8 +188,7 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     if predicted.any():
         summary["excluded_share"] = (summary["excluded_instants"]
                                      / summary["predicted_instants"])
-        worst = mres if metric == "matrix" else res
-        summary["run_max_residual"] = float(worst[predicted].max())
+        summary["run_max_residual"] = float(score[predicted].max())
         summary["run_max_orth_deviation"] = float(orth[predicted].max())
         summary["run_max_norm_defect"] = float(
             norm_defect[predicted].max())
@@ -229,12 +199,9 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
         summary["step_utilization"] = per_step / traj.config.tau
         summary["idle_fraction"] = 1.0 - per_step / traj.config.tau
 
-    return RunReport(config=asdict(traj.config), times=traj.times,
-                     residuals=res, orth=orth, kinds=list(traj.kind),
-                     da_norms=traj.da_norms, mask=mask,
+    return RunReport(residuals=res, orth=orth, mask=mask,
                      excluded_windows=windows, restarts=restarts,
-                     segments=segments, summary=summary,
-                     wall_seconds=elapsed)
+                     segments=segments, summary=summary)
 
 
 @dataclass
@@ -264,7 +231,7 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = 0.0,
     if K < 1:
         raise ValueError("span shorter than one sampling gap")
     res = np.empty((K, flow.n))
-    vals = np.empty(K)
+    score = np.empty(K) if metric == "matrix" else res
     A = flow.sample(float(times[0]))
     prev = None
     for lo in range(0, K, _BLOCK):
@@ -278,14 +245,10 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = 0.0,
         blocks = _static_blocks(samples[:-1], prev)
         res[lo:hi] = residual(samples[1:], blocks)
         if metric == "matrix":
-            vals[lo:hi] = residual(samples[1:], blocks, metric="matrix")
+            score[lo:hi] = residual(samples[1:], blocks, metric="matrix")
         A, prev = samples[-1], blocks[-1]
-    if metric == "matrix":
-        summary = {"median_residual": float(np.median(vals)),
-                   "max_residual": float(vals.max()), "metric": "matrix"}
-    else:
-        summary = {"median_residual": float(np.median(res)),
-                   "max_residual": float(res.max()), "metric": "pair"}
+    summary = {"median_residual": float(np.median(score)),
+               "max_residual": float(score.max()), "metric": metric}
     return BaselineReport(times=times[1:], residuals=res, summary=summary)
 
 
@@ -333,16 +296,24 @@ def derivative_trace(flow: MatrixFlow, config: SolverConfig):
 
     Estimates from the same backward windows a run uses, but never
     restarts: instants whose window straddles a discontinuity show the
-    raw spike.  Entries before the window first fills are NaN.  Returns
+    raw spike.  Entries before the window first fills are NaN.  The grid
+    is sampled in blocks, each carrying the last taps - 1 samples of the
+    block before, so memory stays bounded on long spans.  Returns
     (times, norms).
     """
     der = config.derivative_rule
+    keep = der.taps - 1
     times = config.times
     norms = np.full(times.size, np.nan)
-    samples = np.stack([flow.sample(float(t)) for t in times])
-    for k in range(der.taps - 1, times.size):
-        est = derivative_estimate(der, samples[k::-1], config.tau)
-        norms[k] = fro_norm(est)
+    window = np.empty((0, flow.n, flow.n))
+    for lo in range(0, times.size, _BLOCK):
+        hi = min(lo + _BLOCK, times.size)
+        fresh = np.stack([flow.sample(float(t)) for t in times[lo:hi]])
+        window = np.concatenate([window[-keep:], fresh])
+        first = hi - len(window)       # the instant of window[0]
+        for k in range(max(lo, keep), hi):
+            est = derivative_estimate(der, window[k - first::-1], config.tau)
+            norms[k] = fro_norm(est)
     return times, norms
 
 

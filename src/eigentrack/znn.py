@@ -182,15 +182,13 @@ class Trajectory:
                 if kind == "restart-triggered"]
 
 
-def _rhs_batch(A, dA, Z, eta: float, mu: float, qs=None):
+def _rhs_batch(A, dA, Z, eta: float, mu: float):
     """Right-hand sides q of the bordered systems of all pairs at one
-    instant, (n_pairs, n+1); Z has shape (n_pairs, n+1).  A buffer from
-    an earlier call may be passed back in and is overwritten."""
+    instant, (n_pairs, n+1); Z has shape (n_pairs, n+1)."""
     n = A.shape[0]
     X = Z[:, :n]
     lam = Z[:, n]
-    if qs is None:
-        qs = np.empty((len(Z), n + 1))
+    qs = np.empty((len(Z), n + 1))
     AX = X @ A.T
     qs[:, :n] = -eta * (AX - lam[:, None] * X) - X @ dA.T
     qs[:, n] = 0.5 * mu * (np.add.reduce(X * X, axis=1) - 1.0)
@@ -295,10 +293,8 @@ class Tracker:
     ``samples`` (the derivative formula's window) and ``states`` (the
     last s* (n, n+1) blocks, row i = pair i's [x; lambda]) are lists,
     newest first.  ``dA`` is the derivative estimate at the newest
-    sample.  The right-hand-side buffer is allocated once and overwritten
-    on every prediction, and the oldest state block, once dropped, holds
-    the next prediction: a block returned by ``predict`` stays valid for
-    s* accepted steps, so copy it to keep it longer.
+    sample.  Each prediction is a new array, which becomes the newest
+    state once its sample is observed.
     """
 
     def __init__(self, config: SolverConfig, n: int):
@@ -310,12 +306,10 @@ class Tracker:
         self.threshold = config.jump_threshold
         self.tau_c = config.tau * rec.c_float()
         self.a = rec.a_float()
-        self.qs = np.empty((n, n + 1))
         self.samples: List[np.ndarray] = []
         self.states: List[np.ndarray] = []
         self.dA = None
-        self._next = np.empty((n, n + 1))   # where predict() writes
-        self._pending = False
+        self._pending = None           # the prediction awaiting its sample
 
     def do_startup(self, samples):
         """Seed from consecutive samples; the oldest is the first instant.
@@ -336,9 +330,8 @@ class Tracker:
             if len(self.samples) == der.taps:
                 self.dA = derivative_estimate(der, self.samples, self.tau)
                 norms[j] = fro_norm(self.dA)
-        # the tracker's own copy: its blocks are recycled as buffers
-        self.states = list(blocks[::-1][:self.s_star].copy())
-        self._pending = False
+        self.states = list(blocks[::-1][:self.s_star])
+        self._pending = None
         return blocks, norms
 
     def predict(self):
@@ -355,14 +348,12 @@ class Tracker:
                 f"{self.der.taps} samples, has {len(self.states)} and "
                 f"{len(self.samples)}; seed with a full do_startup block")
         A, Z = self.samples[0], self.states[0]
-        _rhs_batch(A, self.dA, Z, self.eta, self.mu, self.qs)
-        sol = solve_batch(A, Z, self.qs)
-        out = self._next
-        np.multiply(self.tau_c, sol.x, out=out)
+        sol = solve_batch(A, Z, _rhs_batch(A, self.dA, Z, self.eta, self.mu))
+        z_next = self.tau_c * sol.x
         for a, z in zip(self.a, self.states):
-            out += a * z
-        self._pending = True
-        return out, sol
+            z_next += a * z
+        self._pending = z_next
+        return z_next, sol
 
     def observe(self, A):
         """Take the sample at the instant last predicted.
@@ -372,9 +363,9 @@ class Tracker:
         prediction becomes the newest state; with one the state is
         dropped.
         """
-        if not self._pending:
+        z_next, self._pending = self._pending, None
+        if z_next is None:
             raise ValueError("observe needs a pending prediction")
-        self._pending = False
         self.samples.insert(0, A)      # the window is full once predicting
         self.samples.pop()
         self.dA = derivative_estimate(self.der, self.samples, self.tau)
@@ -382,11 +373,9 @@ class Tracker:
         if da > self.threshold:
             self.states = []
             return True, da
-        self.states.insert(0, self._next)
+        self.states.insert(0, z_next)
         if len(self.states) > self.s_star:
-            self._next = self.states.pop()
-        else:
-            self._next = np.empty_like(self._next)
+            self.states.pop()
         return False, da
 
 

@@ -137,6 +137,56 @@ def test_steady_mask_drops_injected_glitch(short_run):
     assert kinds.count("glitch") == base_glitches + 1
 
 
+@pytest.fixture(scope="module")
+def close_restarts():
+    """Twenty jumps 0.04 apart: each restart block starts 4 predicted
+    steps after the one before, inside its settling tail."""
+    rand = et.OrthogonalRandomizer.from_seed(7, 5)
+    pool = et.builtin_flows()
+    flow = et.with_jumps(et.conjugate(pool["A_s"], rand),
+                         et.conjugate(pool["A_sj"], rand),
+                         et.JumpSchedule(tuple(1 + 0.04 * i
+                                               for i in range(20))))
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=2.0)
+    return flow, run(flow, cfg)
+
+
+def test_steady_mask_keeps_every_restart_tail(close_restarts):
+    _, traj = close_restarts
+    assert len(traj.restart_events()) == 20
+    mask, _ = steady_mask(traj, traj.residuals)
+    pad = traj.config.s_star + 10
+    kinds = np.asarray(traj.kind)
+    blocks = 0
+    for k in np.flatnonzero(kinds != "predicted"):
+        if k + 1 < kinds.size and kinds[k + 1] == "predicted":
+            assert not mask[k + 1:k + 1 + pad].any(), traj.times[k]
+            blocks += 1
+    assert blocks == 21
+
+
+def test_steady_windows_are_maximal_spans_covering_the_exclusions(
+        close_restarts):
+    _, traj = close_restarts
+    mask, windows = steady_mask(traj, traj.residuals)
+    reasons = [w[0] for w in windows]
+    assert reasons == sorted(reasons, reverse=True)   # startup, then glitch
+    assert set(reasons) == {"startup", "glitch"}
+    covered = np.zeros(mask.size, dtype=bool)
+    for reason in ("startup", "glitch"):
+        spans = [(int(np.flatnonzero(traj.times == lo)[0]),
+                  int(np.flatnonzero(traj.times == hi)[0]))
+                 for r, lo, hi in windows if r == reason]
+        # in order, disjoint and not touching: no two could merge
+        for (_, hi), (lo, _) in zip(spans[:-1], spans[1:]):
+            assert lo > hi + 1
+        for lo, hi in spans:
+            covered[lo:hi + 1] = True
+    # a glitch window may reach into a startup window, but together they
+    # cover exactly the instants the mask leaves out
+    assert np.array_equal(covered, ~mask)
+
+
 def test_build_report_matches_logged_residuals(short_run):
     flow, traj = short_run
     rep = build_report(flow, traj, elapsed=1.0)
@@ -185,11 +235,13 @@ def test_build_report_matrix_metric(short_run):
     rep = build_report(flow, traj, metric="matrix")
     assert rep.summary["metric"] == "matrix"
     assert rep.summary["median_residual"] > 0
-
-
-def test_build_report_config_is_the_solver_config(short_run):
-    flow, traj = short_run
-    assert build_report(flow, traj).config == dataclasses.asdict(traj.config)
+    # one segment: its statistics are the summary's, in the same metric
+    (seg,) = rep.segments
+    for key in ("steady_instants", "median_residual", "max_residual",
+                "max_orth_deviation"):
+        assert seg[key] == rep.summary[key]
+    assert rep.summary["median_residual"] != build_report(
+        flow, traj).summary["median_residual"]
 
 
 def test_build_report_matrix_samples_each_instant_once():
@@ -308,6 +360,24 @@ def test_derivative_trace_matches_the_run(short_run):
     flow, traj = short_run
     _, norms = derivative_trace(flow, traj.config)
     assert np.array_equal(norms, traj.da_norms, equal_nan=True)
+
+
+@pytest.mark.parametrize("preset", ["ifd5", "ifd7"])
+def test_derivative_trace_blocks_do_not_change_the_norms(monkeypatch,
+                                                         preset):
+    # BDF4pt and BDF5pt windows, across a jump at 0.5, over 201 instants
+    from eigentrack import harness
+    pool = et.builtin_flows()
+    flow = et.with_jumps(pool["A_s"], pool["A_sj"], et.JumpSchedule((0.5,)))
+    cfg = SolverConfig.from_preset(preset, tau=0.005, eta=1.0, tf=1.0)
+    monkeypatch.setattr(harness, "_BLOCK", 10 ** 6)
+    times, whole = derivative_trace(flow, cfg)
+    monkeypatch.setattr(harness, "_BLOCK", 7)
+    blocked_times, blocks = derivative_trace(flow, cfg)
+    assert np.array_equal(blocked_times, times)
+    assert np.array_equal(blocks, whole, equal_nan=True)
+    assert np.isnan(whole[:cfg.derivative_rule.taps - 1]).all()
+    assert np.isfinite(whole[cfg.derivative_rule.taps - 1:]).all()
 
 
 def test_derivative_trace_sees_raw_spike():

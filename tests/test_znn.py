@@ -199,7 +199,7 @@ def _stream_track(samples, config, n):
         if jump:
             start(A, "restart-triggered")
         else:
-            z.append(z_next.copy())
+            z.append(z_next)
             kind.append("predicted")
     return np.array(z), kind, np.array(da_norms)
 

@@ -26,8 +26,7 @@ from .flows import (FlowFileError, JumpSchedule, MatrixFlow,
                     OrthogonalRandomizer, builtin_flows,
                     conjugate, constant_flow, diag_linear_flow,
                     flow_from_file, with_jumps)
-from .formulas import (BackwardFormula, LookaheadRecursion, catalog,
-                       check_zero_stability)
+from .formulas import BackwardFormula, catalog, check_zero_stability
 from .harness import (build_report, convergence_sweep, naive_baseline,
                       timed_run)
 from .znn import NumericalAbort, SolverConfig
@@ -207,21 +206,27 @@ def _g17(x: float) -> str:
     return "%.17g" % float(x)
 
 
+_SOLVE_LABELS = ("direct", "least-squares", "static")
+
+
 def _write_trajectory_csv(path: str, traj) -> None:
     n = traj.n
     header = ("t,pair,lambda,"
               + ",".join(f"x_{i}" for i in range(1, n + 1))
               + ",residual,solve_method,event")
     row = "%.17g,%d," + "%.17g," * (n + 2) + "%s,%s\n"
+    # each pair's route as an index into _SOLVE_LABELS; startup and
+    # restart rows hold static eigendata, not a solve
+    route = traj.lstsq.astype(np.uint8)
+    route[[kind != "predicted" for kind in traj.kind]] = 2
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for k in range(traj.times.size):
-            t, kind = traj.times[k], traj.kind[k]
-            methods = traj.solve_methods[k]
+            t, kind, codes = traj.times[k], traj.kind[k], route[k].tolist()
             res = traj.residuals[k].tolist()
             for i, z in enumerate(traj.z[k].tolist()):
-                fh.write(row % (t, i + 1, z[n], *z[:n], res[i], methods[i],
-                                kind))
+                fh.write(row % (t, i + 1, z[n], *z[:n], res[i],
+                                _SOLVE_LABELS[codes[i]], kind))
 
 
 def _json_safe(value):
@@ -296,52 +301,44 @@ def _whole_run(summary: dict) -> str:
 
 
 def cmd_formulas(as_json: bool) -> int:
-    entries = catalog()
+    payload = {"backward": [], "recursions": []}
+    for _, rule in sorted(catalog().items()):
+        if isinstance(rule, BackwardFormula):
+            payload["backward"].append({
+                "name": rule.name,
+                "coefficients": [str(c) for c in rule.coeffs],
+                "denominator": rule.denom,
+                "taps": rule.taps,
+                "order": rule.order,
+            })
+        else:
+            stab = check_zero_stability(rule)
+            payload["recursions"].append({
+                "name": rule.name,
+                "c": str(rule.c),
+                "a": [str(f) for f in rule.a],
+                "taps": rule.taps,
+                "order": rule.order,
+                "reconstructed": rule.reconstructed,
+                "stable": stab.stable,
+                "root_moduli": [float(m) for m in stab.root_moduli],
+            })
     if as_json:
-        payload = {"backward": [], "recursions": []}
-        for name in sorted(entries):
-            rule = entries[name]
-            if isinstance(rule, BackwardFormula):
-                payload["backward"].append({
-                    "name": rule.name,
-                    "coefficients": [str(c) for c in rule.coeffs],
-                    "denominator": rule.denom,
-                    "taps": rule.taps,
-                    "order": rule.order,
-                })
-            else:
-                stab = check_zero_stability(rule)
-                payload["recursions"].append({
-                    "name": rule.name,
-                    "c": str(rule.c),
-                    "a": [str(f) for f in rule.a],
-                    "taps": rule.taps,
-                    "order": rule.order,
-                    "reconstructed": rule.reconstructed,
-                    "stable": stab.stable,
-                    "root_moduli": [float(m) for m in stab.root_moduli],
-                })
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
-    backward = [r for r in entries.values()
-                if isinstance(r, BackwardFormula)]
-    recursions = [r for r in entries.values()
-                  if isinstance(r, LookaheadRecursion)]
     print("Backward derivative formulas")
-    for rule in sorted(backward, key=lambda r: r.name):
-        coeffs = ",".join(str(c) for c in rule.coeffs)
-        print(f"  {rule.name:7s} coefficients ({coeffs}) over "
-              f"{rule.denom}*tau, taps {rule.taps}, order {rule.order}")
+    for f in payload["backward"]:
+        print(f"  {f['name']:7s} coefficients ({','.join(f['coefficients'])})"
+              f" over {f['denominator']}*tau, taps {f['taps']}, "
+              f"order {f['order']}")
     print("Look-ahead recursions")
-    for rule in sorted(recursions, key=lambda r: r.name):
-        stab = check_zero_stability(rule)
-        a_txt = ", ".join(str(f) for f in rule.a)
-        moduli = ", ".join(f"{m:.6f}" for m in stab.root_moduli)
-        tag = " [reconstructed]" if rule.reconstructed else ""
-        state = "stable" if stab.stable else "UNSTABLE"
-        print(f"  {rule.name:7s} c={rule.c}, a=({a_txt}), taps {rule.taps}, "
-              f"order {rule.order}{tag}")
+    for r in payload["recursions"]:
+        moduli = ", ".join(f"{m:.6f}" for m in r["root_moduli"])
+        tag = " [reconstructed]" if r["reconstructed"] else ""
+        state = "stable" if r["stable"] else "UNSTABLE"
+        print(f"  {r['name']:7s} c={r['c']}, a=({', '.join(r['a'])}), "
+              f"taps {r['taps']}, order {r['order']}{tag}")
         print(f"          zero-{state}; root moduli {moduli}")
     return 0
 

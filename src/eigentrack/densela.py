@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,30 +80,26 @@ class LinearSolveReport:
 class BatchSolveReport:
     """Solutions of a stack of systems, as arrays.
 
-    ``x`` is the (B, m) solution stack, ``methods`` the per-system method
-    labels and ``rpr`` the (B,) conditioning indicators, each as in
-    LinearSolveReport.  Indexing and iteration give per-system
-    LinearSolveReports.
+    ``x`` is the (B, m) solution stack, ``lstsq`` the (B,) mask of the
+    systems that took the least-squares fallback and ``rpr`` the (B,)
+    conditioning indicators, as in LinearSolveReport.  Indexing and
+    iteration give per-system LinearSolveReports.
     """
 
     x: np.ndarray
-    methods: tuple
+    lstsq: np.ndarray
     rpr: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.methods)
+        return len(self.lstsq)
 
     def __getitem__(self, b: int) -> LinearSolveReport:
-        return LinearSolveReport(x=self.x[b], method=self.methods[b],
-                                 rpr=float(self.rpr[b]))
+        return LinearSolveReport(
+            x=self.x[b], method="least-squares" if self.lstsq[b] else "direct",
+            rpr=float(self.rpr[b]))
 
     def __iter__(self):
         return (self[b] for b in range(len(self)))
-
-
-@lru_cache(maxsize=None)
-def _all_direct(B: int) -> tuple:
-    return ("direct",) * B
 
 
 def fro_norm(M) -> float:
@@ -244,8 +239,7 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
     A system is near singular when LAPACK finds it exactly singular, when
     its solution is not finite, or when its amplification ratio
     ||q|| / (||P||_F ||x||) is below 1e-12; such a system is handed to
-    solve_augmented instead.  When none is, ``methods`` is one shared
-    all-"direct" tuple per batch size.
+    solve_augmented instead, and marked in ``lstsq``.
     """
     Ps = np.asarray(Ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
@@ -266,13 +260,12 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
     # compared as a product: q = 0 with x = 0 passes, a NaN or inf x fails
     direct = q_norm >= _RPR_MIN * amp
     rpr = np.divide(q_norm, amp, out=np.ones(B), where=direct & (q_norm > 0))
-    if direct.all():
-        return BatchSolveReport(x=X, methods=_all_direct(B), rpr=rpr)
-    methods = ["direct"] * B
-    for b in np.flatnonzero(~direct):
-        rep = solve_augmented(Ps[b], qs[b])
-        X[b], methods[b], rpr[b] = rep.x, rep.method, rep.rpr
-    return BatchSolveReport(x=X, methods=tuple(methods), rpr=rpr)
+    lstsq = ~direct
+    if lstsq.any():
+        for b in np.flatnonzero(lstsq):
+            rep = solve_augmented(Ps[b], qs[b])
+            X[b], rpr[b] = rep.x, rep.rpr
+    return BatchSolveReport(x=X, lstsq=lstsq, rpr=rpr)
 
 
 def solve(P, q) -> LinearSolveReport:
@@ -324,7 +317,7 @@ def solve_bordered(A, Z, qs) -> BatchSolveReport:
 
     System i is [[A - lambda_i I, -x_i], [-x_i^T, 0]] y = qs[i], with row
     i of Z = [x_i; lambda_i]; returns the same report as solve_batch on
-    ``bordered_stack(A, Z)``, with the same labels and ``rpr``.
+    ``bordered_stack(A, Z)``, with the same ``lstsq`` and ``rpr``.
 
     With n pairs of an n x n matrix (n at least ``_BASIS_MIN_N``), the
     congruence diag(X, 1) P_i diag(X^T, 1), u = X^T c, turns system i
@@ -344,7 +337,7 @@ def solve_bordered(A, Z, qs) -> BatchSolveReport:
     residual is still above 8 eps ||X r_i; s_i|| after the last sweep,
     or when its amplification ratio ||q_i|| / (||P_i||_F ||y_i||) is
     below 1e-12.  All pairs go there when ||X X^T - I||_F exceeds 1/2.
-    Pairs solved in the basis are labelled "direct".
+    Pairs solved in the basis count as direct.
     """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -445,13 +438,12 @@ def solve_bordered(A, Z, qs) -> BatchSolveReport:
     # that are not direct (y_i = 0 when marked) are overwritten below
     pad = (q_norm == 0.0) | ~direct
     rpr = (q_norm + pad) / (amp + pad)
+    lstsq = np.zeros(n, dtype=bool)
     if np.count_nonzero(direct) == n:
-        return BatchSolveReport(x=Y, methods=_all_direct(n), rpr=rpr)
+        return BatchSolveReport(x=Y, lstsq=lstsq, rpr=rpr)
     dense = np.flatnonzero(~direct)
     rep = solve_batch(bordered_stack(A, Z[dense]), qs[dense])
     Y[dense] = rep.x
     rpr[dense] = rep.rpr
-    methods = list(_all_direct(n))
-    for i, method in zip(dense, rep.methods):
-        methods[i] = method
-    return BatchSolveReport(x=Y, methods=tuple(methods), rpr=rpr)
+    lstsq[dense] = rep.lstsq
+    return BatchSolveReport(x=Y, lstsq=lstsq, rpr=rpr)

@@ -89,7 +89,8 @@ def steady_mask(traj: Trajectory, residuals: np.ndarray):
     padded by s* + 10 steps each side.  Returns (mask, windows) where each
     window is a (reason, t_lo, t_hi) tuple: the startup windows, then the
     glitch windows, each a maximal span of instants excluded for that
-    reason.  A glitch window may reach into a startup window.
+    reason.  A glitch window leaves out the startup instants it reaches,
+    so no instant lies in two windows.
     """
     pad = traj.config.s_star + _TRANSIENT_PAD
     excluded = {"startup": _widen(np.asarray(traj.kind) != "predicted",
@@ -101,7 +102,7 @@ def steady_mask(traj: Trajectory, residuals: np.ndarray):
         # collapses and 1000x(nothing) would flag plain rounding noise
         threshold = max(_GLITCH_FACTOR * provisional, _GLITCH_FLOOR)
         glitch = mask & (np.nanmax(residuals, axis=1) > threshold)
-        excluded["glitch"] = _widen(glitch, pad, pad)
+        excluded["glitch"] = _widen(glitch, pad, pad) & mask
         mask &= ~excluded["glitch"]
     windows = [(reason, float(traj.times[lo]), float(traj.times[hi - 1]))
                for reason, flags in excluded.items()

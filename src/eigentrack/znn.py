@@ -148,7 +148,6 @@ class StepEvent:
     t: float
     kind: str                      # predicted | startup | restart-triggered
     residuals: np.ndarray
-    solve_methods: tuple
     da_norm: float = float("nan")  # restart-triggered events carry the spike
 
 
@@ -165,7 +164,7 @@ class Trajectory:
     z: np.ndarray                  # (K+1, n, n+1)
     kind: list                     # per-instant tag strings
     residuals: np.ndarray          # (K+1, n)
-    solve_methods: list            # per instant: tuple of per-pair methods
+    lstsq: np.ndarray              # (K+1, n), True where the solve fell back
     da_norms: np.ndarray           # (K+1,), NaN where no estimate exists
     config: SolverConfig
 
@@ -176,7 +175,6 @@ class Trajectory:
     def restart_events(self) -> List[StepEvent]:
         return [StepEvent(t=self.times[k], kind=kind,
                           residuals=self.residuals[k],
-                          solve_methods=self.solve_methods[k],
                           da_norm=float(self.da_norms[k]))
                 for k, kind in enumerate(self.kind)
                 if kind == "restart-triggered"]
@@ -319,17 +317,12 @@ class Tracker:
         Raises ``numpy.linalg.LinAlgError`` when the eigensolver fails.
         """
         blocks = _static_blocks(samples)
-        der = self.der
         norms = np.full(len(blocks), np.nan)
-        self.samples = []
+        self.samples = list(samples[::-1][:self.der.taps])
         self.dA = None
-        for j in range(len(blocks)):
-            self.samples.insert(0, samples[j])
-            if len(self.samples) > der.taps:
-                self.samples.pop()
-            if len(self.samples) == der.taps:
-                self.dA = derivative_estimate(der, self.samples, self.tau)
-                norms[j] = fro_norm(self.dA)
+        for j in range(self.der.taps - 1, len(blocks)):
+            self.dA = derivative_estimate(self.der, samples[j::-1], self.tau)
+            norms[j] = fro_norm(self.dA)
         self.states = list(blocks[::-1][:self.s_star])
         self._pending = None
         return blocks, norms
@@ -399,7 +392,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     Z = np.zeros((K + 1, n, n + 1))
     kind = ["predicted"] * (K + 1)
     residuals = np.full((K + 1, n), np.nan)
-    solve_methods = [("",) * n] * (K + 1)
+    lstsq = np.zeros((K + 1, n), dtype=bool)
     da_norms = np.full(K + 1, np.nan)
     tracker = Tracker(config, n)
 
@@ -407,7 +400,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         return Trajectory(times=times[:upto + 1], z=Z[:upto + 1],
                           kind=kind[:upto + 1],
                           residuals=residuals[:upto + 1],
-                          solve_methods=solve_methods[:upto + 1],
+                          lstsq=lstsq[:upto + 1],
                           da_norms=da_norms[:upto + 1], config=config)
 
     def start(k0: int, first_kind: str) -> int:
@@ -426,9 +419,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         # a one-sample window has no estimate: index k0 keeps the spike
         da_norms[k0 + 1:last + 1] = norms[1:]
         residuals[k0:last + 1] = residual(samples, blocks)
-        for j, k in enumerate(range(k0, last + 1)):
-            kind[k] = first_kind if j == 0 else "startup"
-            solve_methods[k] = ("static",) * n
+        kind[k0:last + 1] = [first_kind] + ["startup"] * (last - k0)
         return last
 
     k = start(0, "startup")
@@ -449,9 +440,8 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
                 f"non-finite prediction at t={times[knew]}", partial(k))
         Z[knew] = z
         residuals[knew] = residual(A_new, z)
-        solve_methods[knew] = sol.methods
+        lstsq[knew] = sol.lstsq
         k = knew
 
     return Trajectory(times=times, z=Z, kind=kind, residuals=residuals,
-                      solve_methods=solve_methods, da_norms=da_norms,
-                      config=config)
+                      lstsq=lstsq, da_norms=da_norms, config=config)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eigentrack import cli, znn
-from eigentrack.flows import diag_linear_flow, write_flow_file
+from eigentrack.flows import constant_flow, diag_linear_flow, write_flow_file
 
 
 def run_cli(*argv):
@@ -52,6 +52,25 @@ def test_run_constant3_csv_schema(tmp_path, capsys):
     predicted = [r for r in rows if r[8] == "predicted"]
     assert predicted and all(r[7] == "least-squares" for r in predicted)
     assert all(abs(float(r[2]) - 1.0) < 1e-9 for r in predicted)
+    assert all(r[7] == "static" for r in rows if r[8] != "predicted")
+
+
+def test_trajectory_csv_labels_follow_kind_and_fallback_mask(tmp_path):
+    # a double eigenvalue: pairs 1 and 2 take the least-squares fallback
+    # at every predicted instant, pair 3 the direct solve
+    traj = znn.run(constant_flow(np.diag([1.0, 1.0, 3.0])),
+                   znn.SolverConfig(tau=0.01, eta=1.0, tf=0.1))
+    path = tmp_path / "trajectory.csv"
+    cli._write_trajectory_csv(str(path), traj)
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+    labels = np.array([r[7] for r in rows]).reshape(traj.lstsq.shape)
+    assert [r[8] for r in rows[::3]] == traj.kind
+    predicted = np.asarray(traj.kind) == "predicted"
+    assert predicted.any() and not predicted.all()
+    assert (labels[~predicted] == "static").all()
+    assert (labels[predicted]
+            == ["least-squares", "least-squares", "direct"]).all()
+    assert np.array_equal(labels == "least-squares", traj.lstsq)
 
 
 def test_run_prints_the_whole_run_fields(tmp_path, capsys):

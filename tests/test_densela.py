@@ -212,10 +212,9 @@ def test_solve_batch_report_arrays(rng):
     rep = solve_batch(Ps, qs)
     assert rep.x.shape == (3, 4) and rep.rpr.shape == (3,)
     assert len(rep) == 3
-    assert rep.methods == ("direct",) * 3
-    # an all-direct batch shares one label tuple per batch size
-    assert solve_batch(Ps[::-1], qs[::-1]).methods is rep.methods
+    assert rep.lstsq.dtype == bool and not rep.lstsq.any()
     for b, single in enumerate(rep):
+        assert single.method == "direct"
         assert np.array_equal(single.x, rep.x[b])
         assert single.rpr == rep.rpr[b]
 
@@ -224,7 +223,7 @@ def test_solve_batch_mixed_keeps_per_system_labels(rng):
     good = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     bad = np.diag([1.0, 0.0, 2.0])
     rep = solve_batch(np.stack([bad, good, bad]), np.ones((3, 3)))
-    assert rep.methods == ("least-squares", "direct", "least-squares")
+    assert rep.lstsq.tolist() == [True, False, True]
     assert np.array_equal(rep.x[1], np.linalg.solve(good, np.ones(3)))
     assert rep.x[0] == pytest.approx([1.0, 0.0, 0.5], abs=1e-12)
     assert rep.rpr[0] < 1e-12
@@ -275,7 +274,7 @@ def test_solve_bordered_matches_dense_on_separated_flows(
         qs = rng.standard_normal((n, n + 1))
         rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
         assert not dense_calls
-        assert rep.methods == want.methods == ("direct",) * n
+        assert not rep.lstsq.any() and not want.lstsq.any()
         err = np.linalg.norm(rep.x - want.x, axis=1)
         assert (err <= 1e-12 * np.linalg.norm(want.x, axis=1)).all()
         assert rep.rpr == pytest.approx(want.rpr, rel=1e-9)
@@ -289,7 +288,7 @@ def test_solve_bordered_below_switch_is_the_dense_route(rng, n):
     rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
     assert np.array_equal(rep.x, want.x)
     assert np.array_equal(rep.rpr, want.rpr)
-    assert rep.methods == want.methods
+    assert np.array_equal(rep.lstsq, want.lstsq)
 
 
 def test_solve_bordered_far_from_orthonormal_is_the_dense_route(
@@ -304,7 +303,8 @@ def test_solve_bordered_far_from_orthonormal_is_the_dense_route(
     qs = rng.standard_normal((n, n + 1))
     rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
     assert dense_calls == [n]
-    assert np.array_equal(rep.x, want.x) and rep.methods == want.methods
+    assert np.array_equal(rep.x, want.x)
+    assert np.array_equal(rep.lstsq, want.lstsq)
 
 
 @pytest.mark.filterwarnings("error")
@@ -320,9 +320,8 @@ def test_solve_bordered_exact_collision_takes_least_squares(rng,
     qs = rng.standard_normal((n, n + 1))
     rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
     assert dense_calls == [2]
-    assert rep.methods == want.methods
-    assert [i for i, m in enumerate(rep.methods)
-            if m == "least-squares"] == [3, 4]
+    assert np.array_equal(rep.lstsq, want.lstsq)
+    assert np.flatnonzero(rep.lstsq).tolist() == [3, 4]
     assert np.isfinite(rep.x).all()
     assert rep.x == pytest.approx(want.x, rel=1e-12, abs=1e-12)
 
@@ -335,7 +334,7 @@ def test_solve_bordered_all_pairs_collide_in_a_run():
     predicted = [k for k, kd in enumerate(traj.kind) if kd == "predicted"]
     assert predicted
     for k in predicted:
-        assert traj.solve_methods[k] == ("least-squares",) * n
+        assert traj.lstsq[k].all()
     assert np.isfinite(traj.z).all()
 
 
@@ -352,6 +351,6 @@ def test_solve_bordered_near_crossing(rng):
     Z = np.hstack([V[0].T, w[0][:, None]])
     qs = rng.standard_normal((n, n + 1))
     rep, want = solve_bordered(A, Z, qs), _dense_route(A, Z, qs)
-    assert rep.methods == want.methods
+    assert np.array_equal(rep.lstsq, want.lstsq)
     err = np.linalg.norm(rep.x - want.x, axis=1)
     assert (err <= 1e-8 * np.linalg.norm(want.x, axis=1)).all()

@@ -172,7 +172,7 @@ def test_steady_windows_are_maximal_spans_covering_the_exclusions(
     reasons = [w[0] for w in windows]
     assert reasons == sorted(reasons, reverse=True)   # startup, then glitch
     assert set(reasons) == {"startup", "glitch"}
-    covered = np.zeros(mask.size, dtype=bool)
+    covered = np.zeros(mask.size, dtype=int)
     for reason in ("startup", "glitch"):
         spans = [(int(np.flatnonzero(traj.times == lo)[0]),
                   int(np.flatnonzero(traj.times == hi)[0]))
@@ -181,10 +181,11 @@ def test_steady_windows_are_maximal_spans_covering_the_exclusions(
         for (_, hi), (lo, _) in zip(spans[:-1], spans[1:]):
             assert lo > hi + 1
         for lo, hi in spans:
-            covered[lo:hi + 1] = True
-    # a glitch window may reach into a startup window, but together they
-    # cover exactly the instants the mask leaves out
-    assert np.array_equal(covered, ~mask)
+            covered[lo:hi + 1] += 1
+    # no instant lies in two windows, and together the windows cover
+    # exactly the instants the mask leaves out
+    assert covered.max() == 1
+    assert np.array_equal(covered == 1, ~mask)
 
 
 def test_build_report_matches_logged_residuals(short_run):

@@ -136,7 +136,7 @@ def test_step_fixed_point():
     tracker.states = [block.copy() for _ in range(cfg.s_star)]
     z_next, report = tracker.predict()
     assert z_next == pytest.approx(block, abs=1e-14)
-    assert report.methods == ("direct",) * 3
+    assert report.lstsq.tolist() == [False] * 3
 
 
 def test_predict_needs_a_full_startup():
@@ -438,9 +438,10 @@ def test_predict_reaches_the_solve_hook_once_per_step(
     predicted = traj.kind.count("predicted")
     assert predicted == len(traj.times) - cfg.s_star
     assert len(reports) == predicted
-    for rep, methods in zip(reports, traj.solve_methods[cfg.s_star:]):
+    for rep, lstsq in zip(reports, traj.lstsq[cfg.s_star:]):
         assert len(rep) == n
-        assert tuple(r.method for r in rep) == methods == ("direct",) * n
+        assert tuple(r.method for r in rep) == ("direct",) * n
+        assert np.array_equal(rep.lstsq, lstsq) and not lstsq.any()
     taps = cfg.derivative_rule.taps
     assert frames[:cfg.s_star - taps + 1] == ["do_startup"] * (
         cfg.s_star - taps + 1)
@@ -457,9 +458,7 @@ def test_run_smooth_tags_and_residuals(smooth7):
     assert set(traj.kind[cfg.s_star:]) == {"predicted"}
     assert not traj.restart_events()
     assert traj.residuals[cfg.s_star:].max() < 1e-4
-    for k in range(cfg.s_star):
-        assert traj.solve_methods[k] == ("static",) * 7
-    assert traj.solve_methods[-1] == ("direct",) * 7
+    assert traj.lstsq.shape == (101, 7) and not traj.lstsq.any()
     # derivative estimates appear once the sample window fills
     m = cfg.derivative_rule.taps
     assert np.isnan(traj.da_norms[: m - 1]).all()
@@ -492,7 +491,7 @@ def test_run_events_are_derived_from_arrays():
     k = int(round(0.5 / cfg.tau))
     assert restart.t == traj.times[k] and restart.kind == traj.kind[k]
     assert np.array_equal(restart.residuals, traj.residuals[k])
-    assert restart.solve_methods == traj.solve_methods[k]
+    assert not traj.lstsq[k].any()     # a restart row holds no solve
     # the spike is the derivative norm logged at the restart instant
     assert restart.da_norm == traj.da_norms[k]
 
@@ -505,8 +504,7 @@ def test_run_mixed_fallback_batch():
     predicted = [k for k, kd in enumerate(traj.kind) if kd == "predicted"]
     assert predicted
     for k in predicted:
-        assert traj.solve_methods[k] == ("least-squares", "least-squares",
-                                         "direct")
+        assert traj.lstsq[k].tolist() == [True, True, False]
     assert np.isfinite(traj.z).all()
 
 

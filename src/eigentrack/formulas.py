@@ -90,8 +90,8 @@ class BackwardFormula:
     coeffs: tuple
     denom: int
     order: int
-    # coeffs lowered to floats once; derivative_estimate runs every step
-    coeffs_float: tuple = field(init=False, repr=False, compare=False)
+    # coeffs lowered to a float row once; derivative_estimate runs every step
+    coeffs_float: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def taps(self) -> int:
@@ -102,8 +102,9 @@ class BackwardFormula:
         if got != self.order:
             raise FormulaError(
                 f"{self.name}: declared order {self.order}, derived {got}")
-        object.__setattr__(self, "coeffs_float",
-                           tuple(float(Fraction(c)) for c in self.coeffs))
+        row = np.array([float(Fraction(c)) for c in self.coeffs])
+        row.flags.writeable = False
+        object.__setattr__(self, "coeffs_float", row)
 
     def weights_float(self):
         return np.array([float(Fraction(c) / self.denom) for c in self.coeffs])
@@ -215,18 +216,22 @@ def truncation_order(rule: Union[BackwardFormula, LookaheadRecursion]) -> int:
 def derivative_estimate(f: BackwardFormula, history, tau: float):
     """Apply a backward formula to a history of samples (newest first).
 
-    ``history`` holds matrices or vectors of identical shape; entries past
-    the formula's tap count are ignored.
+    ``history`` holds matrices or vectors of identical shape, as a list or
+    a stack; entries past the formula's tap count are ignored.  The
+    estimate is one product of the coefficient row with the first taps
+    samples, taken from a contiguous copy unless they already are one, so
+    a list, a stack and a reversed view of the same samples give the same
+    bits.
     """
     if tau <= 0:
         raise FormulaError("tau must be positive")
-    if len(history) < f.taps:
+    taps = f.taps
+    if len(history) < taps:
         raise FormulaError(
-            f"{f.name} needs {f.taps} samples, got {len(history)}")
-    acc = np.zeros_like(np.asarray(history[0], dtype=float))
-    for c, H in zip(f.coeffs_float, history):
-        acc += c * np.asarray(H, dtype=float)
-    return acc / (f.denom * tau)
+            f"{f.name} needs {taps} samples, got {len(history)}")
+    H = np.ascontiguousarray(history[:taps], dtype=float)
+    est = f.coeffs_float @ H.reshape(taps, -1) / (f.denom * tau)
+    return est.reshape(H.shape[1:])
 
 
 _F = Fraction

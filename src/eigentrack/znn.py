@@ -187,8 +187,10 @@ def _rhs_batch(A, dA, Z, eta: float, mu: float):
     X = Z[:, :n]
     lam = Z[:, n]
     qs = np.empty((len(Z), n + 1))
-    AX = X @ A.T
-    qs[:, :n] = -eta * (AX - lam[:, None] * X) - X @ dA.T
+    # row i is x_i^T (-eta A - dA) + eta lam_i x_i^T: A and dA are symmetric
+    Q = X @ (A * -eta - dA)
+    Q += (eta * lam)[:, None] * X
+    qs[:, :n] = Q
     qs[:, n] = 0.5 * mu * (np.add.reduce(X * X, axis=1) - 1.0)
     return qs
 
@@ -288,11 +290,17 @@ class Tracker:
     reported by ``observe`` drops the state; seed again with
     ``do_startup``, starting at the sample that fired it.
 
-    ``samples`` (the derivative formula's window) and ``states`` (the
-    last s* (n, n+1) blocks, row i = pair i's [x; lambda]) are lists,
-    newest first.  ``dA`` is the derivative estimate at the newest
-    sample.  Each prediction is a new array, which becomes the newest
-    state once its sample is observed.
+    The derivative formula's sample window and the last s* state blocks
+    (row i = pair i's [x; lambda]) are held in mirrored ring buffers: a
+    ring of k entries is a (2k, ...) array; each new entry moves the start
+    p back by one (mod k) and is written at p and at p + k, so the window,
+    newest first, is always the one contiguous slice ``buf[p:p + m]``.
+    ``observe`` copies each sample and each accepted prediction in; the
+    derivative estimate and the recursion are then each one product of a
+    coefficient row with that slice.  ``samples`` and ``states`` read the
+    windows as lists of views, newest first; assigning ``states`` copies
+    the given blocks in.  ``dA`` is the derivative estimate at the newest
+    sample.  Each prediction is a new array.
     """
 
     def __init__(self, config: SolverConfig, n: int):
@@ -300,14 +308,35 @@ class Tracker:
         self.der = config.derivative_rule
         # plain floats and ints: the per-step methods read them every call
         self.tau, self.s_star = config.tau, config.s_star
+        self.taps = self.der.taps
         self.eta, self.mu = config.eta, config.mu
         self.threshold = config.jump_threshold
         self.tau_c = config.tau * rec.c_float()
         self.a = rec.a_float()
-        self.samples: List[np.ndarray] = []
-        self.states: List[np.ndarray] = []
+        self._shape = (n, n + 1)
+        # rings: buffer, newest position, number of entries held
+        self._sbuf = np.empty((2 * self.taps, n, n))
+        self._sp = self._sn = 0
+        self._zbuf = np.empty((2 * self.s_star, n, n + 1))
+        self._zp = self._zn = 0
         self.dA = None
         self._pending = None           # the prediction awaiting its sample
+
+    @property
+    def samples(self) -> List[np.ndarray]:
+        return list(self._sbuf[self._sp:self._sp + self._sn])
+
+    @property
+    def states(self) -> List[np.ndarray]:
+        return list(self._zbuf[self._zp:self._zp + self._zn])
+
+    @states.setter
+    def states(self, blocks):
+        m = min(len(blocks), self.s_star)
+        if m:
+            self._zbuf[:m] = blocks[:m]
+            self._zbuf[self.s_star:self.s_star + m] = blocks[:m]
+        self._zp, self._zn = 0, m
 
     def do_startup(self, samples):
         """Seed from consecutive samples; the oldest is the first instant.
@@ -318,12 +347,15 @@ class Tracker:
         """
         blocks = _static_blocks(samples)
         norms = np.full(len(blocks), np.nan)
-        self.samples = list(samples[::-1][:self.der.taps])
+        m = min(len(samples), self.taps)
+        self._sbuf[:m] = samples[::-1][:m]
+        self._sbuf[self.taps:self.taps + m] = samples[::-1][:m]
+        self._sp, self._sn = 0, m
         self.dA = None
-        for j in range(self.der.taps - 1, len(blocks)):
+        for j in range(self.taps - 1, len(blocks)):
             self.dA = derivative_estimate(self.der, samples[j::-1], self.tau)
             norms[j] = fro_norm(self.dA)
-        self.states = list(blocks[::-1][:self.s_star])
+        self.states = blocks[::-1]
         self._pending = None
         return blocks, norms
 
@@ -334,17 +366,18 @@ class Tracker:
         solve report of its bordered systems.  Raises ValueError while
         the state or the sample window is shorter than its formula.
         """
-        if (len(self.states) < len(self.a)
-                or len(self.samples) < self.der.taps):
+        m = len(self.a)
+        if self._zn < m or self._sn < self.taps:
             raise ValueError(
-                f"predict needs {len(self.a)} state blocks and "
-                f"{self.der.taps} samples, has {len(self.states)} and "
-                f"{len(self.samples)}; seed with a full do_startup block")
-        A, Z = self.samples[0], self.states[0]
+                f"predict needs {m} state blocks and {self.taps} samples, "
+                f"has {self._zn} and {self._sn}; seed with a full "
+                f"do_startup block")
+        p = self._zp
+        A, Z = self._sbuf[self._sp], self._zbuf[p]
         sol = solve_batch(A, Z, _rhs_batch(A, self.dA, Z, self.eta, self.mu))
-        z_next = self.tau_c * sol.x
-        for a, z in zip(self.a, self.states):
-            z_next += a * z
+        z_next = (self.a @ self._zbuf[p:p + m].reshape(m, -1)).reshape(
+            self._shape)
+        z_next += self.tau_c * sol.x
         self._pending = z_next
         return z_next, sol
 
@@ -359,16 +392,22 @@ class Tracker:
         z_next, self._pending = self._pending, None
         if z_next is None:
             raise ValueError("observe needs a pending prediction")
-        self.samples.insert(0, A)      # the window is full once predicting
-        self.samples.pop()
-        self.dA = derivative_estimate(self.der, self.samples, self.tau)
+        # the sample window is full once predicting
+        k = self.taps
+        p = self._sp = (self._sp - 1) % k
+        self._sbuf[p] = A
+        self._sbuf[p + k] = A
+        self.dA = derivative_estimate(self.der, self._sbuf[p:p + k], self.tau)
         da = fro_norm(self.dA)
         if da > self.threshold:
-            self.states = []
+            self._zn = 0
             return True, da
-        self.states.insert(0, z_next)
-        if len(self.states) > self.s_star:
-            self.states.pop()
+        k = self.s_star
+        p = self._zp = (self._zp - 1) % k
+        self._zbuf[p] = z_next
+        self._zbuf[p + k] = z_next
+        if self._zn < k:
+            self._zn += 1
         return False, da
 
 
@@ -381,6 +420,13 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     static eigendata at the offending instant; predictions resume once
     the buffers refill.  Non-finite values or solver failures abort with
     the partial trajectory attached.
+
+    The residual log does not feed the next prediction, so predicted
+    instants are scored in blocks: each one's sample is copied into a
+    queue of at most 128 instants and 64 KB, and the queue is scored by
+    one stacked ``residual`` call when it is full, at the end of the run
+    and before an abort.  The stacked call gives each instant the bits of
+    ``residual(A_k, z_k)`` alone.
     """
     s_star = config.s_star
     n = flow.n
@@ -395,8 +441,18 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     lstsq = np.zeros((K + 1, n), dtype=bool)
     da_norms = np.full(K + 1, np.nan)
     tracker = Tracker(config, n)
+    block = max(1, min(128, 65536 // (8 * n * n)))
+    queue_A = np.empty((block, n, n))
+    queue_k = np.empty(block, dtype=np.intp)
+    queued = 0
+
+    def score(m: int):
+        if m:
+            ks = queue_k[:m]
+            residuals[ks] = residual(queue_A[:m], Z[ks])
 
     def partial(upto: int) -> Trajectory:
+        score(queued)
         return Trajectory(times=times[:upto + 1], z=Z[:upto + 1],
                           kind=kind[:upto + 1],
                           residuals=residuals[:upto + 1],
@@ -439,9 +495,15 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
             raise NumericalAbort(
                 f"non-finite prediction at t={times[knew]}", partial(k))
         Z[knew] = z
-        residuals[knew] = residual(A_new, z)
         lstsq[knew] = sol.lstsq
+        queue_A[queued] = A_new
+        queue_k[queued] = knew
+        queued += 1
+        if queued == block:
+            score(queued)
+            queued = 0
         k = knew
 
+    score(queued)
     return Trajectory(times=times, z=Z, kind=kind, residuals=residuals,
                       lstsq=lstsq, da_norms=da_norms, config=config)

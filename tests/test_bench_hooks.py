@@ -42,3 +42,6 @@ def test_traced_worker_observes_every_layer(bench, tmp_path, name, steps,
     assert layers["densela.systems_per_step"] == systems
     assert layers["densela.direct_ratio"] == 1.0
     assert layers["znn.restarts"] == restarts
+    # one loop estimate per predict, and one report sample per instant
+    assert layers["formulas.derivative_calls_per_step"] == 1.0
+    assert layers["harness.report_samples"] == steps + 1

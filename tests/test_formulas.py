@@ -82,6 +82,29 @@ def test_derivative_estimate_needs_full_history():
         derivative_estimate(rule, hist, 0.01)
 
 
+@pytest.mark.parametrize("name", ["BDF4pt", "BDF5pt"])
+def test_derivative_estimate_input_forms_give_the_same_bits(rules, name):
+    # derivative_trace passes reversed views and the tracker a slice of
+    # its ring buffer; both must give the bits of a plain stack
+    rule = rules[name]
+    stack = np.random.default_rng(3).standard_normal((rule.taps + 2, 7, 7))
+    want = derivative_estimate(rule, stack, 0.005)
+    ring = np.empty((2 * len(stack) + 1, 7, 7))
+    ring[3:3 + len(stack)] = stack             # an odd offset in a buffer
+    forms = [list(stack), np.ascontiguousarray(stack[:rule.taps]),
+             stack[::-1].copy()[::-1], ring[3:3 + len(stack)]]
+    for form in forms:
+        assert np.array_equal(derivative_estimate(rule, form, 0.005), want)
+    # entries past the tap count are ignored
+    tail = stack.copy()
+    tail[rule.taps:] = np.nan
+    assert np.array_equal(derivative_estimate(rule, tail, 0.005), want)
+    # and the product is the weighted sum of the samples, to roundoff
+    total = sum(float(c) * H for c, H in zip(rule.coeffs, stack))
+    assert want == pytest.approx(total / (rule.denom * 0.005), rel=1e-12,
+                                 abs=1e-9)
+
+
 # -------------------------------------------------------------- recursions
 
 def test_recursion_catalog_values(rules):

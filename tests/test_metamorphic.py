@@ -4,8 +4,11 @@ the untransformed run, so no outside oracle is needed.
 Every run spans t in [7, 9] across the jump at 8, so each relation also
 checks that the transformed run restarts on the same instants; each
 start matches fresh static eigendata across its startup samples.
-Scaling the flow is left out: the jump test compares an absolute
-derivative norm with its threshold, so a scaled flow restarts elsewhere.
+Scaling the flow fails today and is marked as a strict expected failure:
+the jump test compares an absolute derivative norm with its threshold,
+so over this span c = 1 restarts once, at 8, c = 0.01 never restarts and
+c = 100 restarts 100 times.  It is the regression test for a scale-free
+jump test.
 """
 
 import numpy as np
@@ -87,3 +90,23 @@ def test_time_shift(reference):
     assert np.abs(got.times - s - traj.times).max() <= 1e-12
     assert np.abs(got.z - traj.z).max() <= 1e-10
     _assert_same_statistics(et.build_report(later, got), ref_rep, 1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="the jump threshold is an absolute "
+                   "derivative norm, so a scaled flow restarts elsewhere")
+@pytest.mark.parametrize("c", [0.01, 100.0])
+def test_scaling(reference, c):
+    # c A has A's eigenvectors and eigenvalues scaled by c; the residuals,
+    # relative to ||A||_F, keep their statistics
+    flow, traj, ref_rep = reference
+    n = flow.n
+    scaled = et.MatrixFlow(n, lambda t: c * flow.sampler(t), span=flow.span)
+    got = et.run(scaled, _config())
+    assert got.kind == traj.kind
+    _assert_same_statistics(et.build_report(scaled, got), ref_rep, 1e-6)
+    assert np.abs(got.z[..., n] / c - traj.z[..., n]).max() <= 1e-9
+    # each start picks its own eigenvector signs
+    x, ref = got.z[..., :n], traj.z[..., :n]
+    apart = np.minimum(np.abs(x - ref).max(axis=2),
+                       np.abs(x + ref).max(axis=2))
+    assert apart.max() <= 1e-9

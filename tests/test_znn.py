@@ -1,5 +1,6 @@
 """Predictor dynamics: assembly, the streaming tracker, full runs."""
 
+import dataclasses
 import itertools
 import sys
 
@@ -382,6 +383,117 @@ def test_match_pairs_chain_takes_a_pass_per_link(monkeypatch, rng):
     assert calls == [1] + [0, 1] * (m - 1)
 
 
+# ------------------------------------------------------------- ring windows
+
+def _list_derivative(f, history, tau):
+    """The derivative estimate as a sum of scaled samples: the reference
+    the one-product formulas.derivative_estimate must follow."""
+    acc = np.zeros_like(history[0])
+    for c, H in zip(f.coeffs_float, history):
+        acc += c * H
+    return acc / (f.denom * tau)
+
+
+class _ListTracker:
+    """Tracker with list windows of references, newest first, the
+    right-hand side from two products and the recursion as a sum of
+    scaled states: the reference the ring-buffer Tracker must follow to
+    roundoff."""
+
+    def __init__(self, config, n):
+        self.der, self.tau = config.derivative_rule, config.tau
+        self.s_star, self.threshold = config.s_star, config.jump_threshold
+        self.eta, self.mu = config.eta, config.mu
+        self.tau_c = config.tau * config.recursion_rule.c_float()
+        self.a = config.recursion_rule.a_float()
+        self.samples, self.states, self.pending = [], [], None
+
+    def do_startup(self, samples):
+        blocks = znn._static_blocks(samples)
+        self.samples = list(samples[::-1][:self.der.taps])
+        for j in range(self.der.taps - 1, len(blocks)):
+            self.dA = _list_derivative(self.der, samples[j::-1], self.tau)
+        self.states = list(blocks[::-1][:self.s_star])
+        return blocks
+
+    def predict(self):
+        A, Z = self.samples[0], self.states[0]
+        X, lam = Z[:, :-1], Z[:, -1]
+        q = np.empty_like(Z)
+        q[:, :-1] = -self.eta * (X @ A.T - lam[:, None] * X) - X @ self.dA.T
+        q[:, -1] = 0.5 * self.mu * (np.add.reduce(X * X, axis=1) - 1.0)
+        self.pending = self.tau_c * znn.solve_batch(A, Z, q).x
+        for a, z in zip(self.a, self.states):
+            self.pending += a * z
+        return self.pending
+
+    def observe(self, A):
+        self.samples.insert(0, A)
+        self.samples.pop()
+        self.dA = _list_derivative(self.der, self.samples, self.tau)
+        if densela.fro_norm(self.dA) > self.threshold:
+            self.states = []
+            return True
+        self.states.insert(0, self.pending)
+        del self.states[self.s_star:]
+        return False
+
+
+def _lockstep(flow, cfg):
+    """Drive Tracker and _ListTracker side by side over the grid, checking
+    their windows and jump verdicts after every sample; returns the
+    per-instant tags and the largest |z - z_ref| over the predictions."""
+    times, s_star = cfg.times, cfg.s_star
+    new, ref = Tracker(cfg, flow.n), _ListTracker(cfg, flow.n)
+    kinds, worst = [], 0.0
+
+    def start(k0, first):
+        block = np.stack([flow.sample(t) for t in times[k0:k0 + s_star]])
+        got, _ = new.do_startup(block)
+        assert np.array_equal(got, ref.do_startup(block))
+        kinds.extend([first] + ["startup"] * (len(block) - 1))
+        return k0 + len(block) - 1
+
+    k = start(0, "startup")
+    while k < times.size - 1:
+        z, _ = new.predict()
+        worst = max(worst, np.abs(z - ref.predict()).max())
+        A = flow.sample(times[k + 1])
+        jump, _ = new.observe(A)
+        assert jump == ref.observe(A)
+        samples, states = new.samples, new.states
+        assert type(samples) is list and type(states) is list
+        assert len(samples) == len(ref.samples) == cfg.derivative_rule.taps
+        assert all(np.array_equal(x, y) for x, y in zip(samples, ref.samples))
+        assert len(states) == len(ref.states)
+        if jump:
+            assert not states                      # a jump empties the state
+            k = start(k + 1, "restart-triggered")
+            continue
+        assert np.array_equal(states[0], z)        # the accepted prediction
+        assert np.abs(np.array(states) - ref.states).max() <= 1e-9
+        kinds.append("predicted")
+        k += 1
+    return kinds, worst
+
+
+@pytest.mark.parametrize("preset, t0, tf, restarts", [
+    ("ifd5", 7.0, 9.0, 1),          # across the jump at 8
+    ("ifd7", 7.0, 9.0, 1),          # six states, five samples
+    ("ifd5", 0.0, 6.0, 0),          # the smooth span
+])
+def test_ring_windows_follow_the_list_reference(preset, t0, tf, restarts):
+    rand = et.OrthogonalRandomizer.from_seed(7, 7)
+    pool = builtin_flows()
+    flow = with_jumps(et.conjugate(pool["A_s"], rand),
+                      et.conjugate(pool["A_sj"], rand), JumpSchedule((8.0,)))
+    cfg = SolverConfig.from_preset(preset, tau=0.005, eta=4.5, t0=t0, tf=tf)
+    kinds, worst = _lockstep(flow, cfg)
+    assert kinds == run(flow, cfg).kind
+    assert kinds.count("restart-triggered") == restarts
+    assert worst <= 1e-9
+
+
 # ---------------------------------------------------------------- detection
 
 def _predicting(cfg, A):
@@ -539,3 +651,89 @@ def test_run_rejects_span_overrun():
                       span=(0.0, 0.5))
     with pytest.raises(ValueError):
         run(flow, cfg)
+
+
+# ------------------------------------------------------- blocked residual log
+
+def _assert_scored_alone(flow, traj):
+    """Every predicted instant's logged residual has the bits of its own
+    single-instant residual call."""
+    predicted = [k for k, kd in enumerate(traj.kind) if kd == "predicted"]
+    assert predicted
+    for k in predicted:
+        alone = densela.residual(flow.sample(traj.times[k]), traj.z[k])
+        assert np.array_equal(traj.residuals[k], alone)
+
+
+def _spy_blocks(monkeypatch):
+    """Record the size of every stacked residual call run() makes."""
+    sizes, residual = [], znn.residual
+
+    def spy(A, z, *args, **kwargs):
+        if np.ndim(A) == 3:
+            sizes.append(len(A))
+        return residual(A, z, *args, **kwargs)
+    monkeypatch.setattr(znn, "residual", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n, block, tf", [(7, 128, 1.6), (32, 8, 0.25)])
+def test_logged_residuals_are_scored_alone_bit_for_bit(
+        monkeypatch, separated_flow, n, block, tf):
+    # a run with restarts and more than one block of predicted instants
+    if n == 7:
+        pool = builtin_flows()
+        a, b = pool["A_s"], pool["A_sj"]
+    else:
+        a, b = separated_flow(n, seed=1), separated_flow(n, seed=2)
+    flow = with_jumps(a, b, JumpSchedule((0.5 * tf, 0.8 * tf)))
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=tf)
+    sizes = _spy_blocks(monkeypatch)
+    traj = run(flow, cfg)
+    assert len(traj.restart_events()) == 2
+    # each start scores its own s* samples in one call; the log the rest
+    starts = 1 + len(traj.restart_events())
+    assert sum(sizes) == traj.kind.count("predicted") + starts * cfg.s_star
+    assert len(sizes) - starts > 1 and max(sizes) == block
+    _assert_scored_alone(flow, traj)
+
+
+def test_restart_abort_leaves_the_queued_instants_scored(monkeypatch):
+    # the restart's eigensolver fails while predicted instants are queued
+    pool = builtin_flows()
+    flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    calls, eig = [], znn.sym_eig_batch
+
+    def failing_on_restart(As):
+        calls.append(len(As))
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(As)
+    monkeypatch.setattr(znn, "sym_eig_batch", failing_on_restart)
+    with pytest.raises(NumericalAbort, match="startup eigensolver") as info:
+        run(flow, cfg)
+    partial = info.value.trajectory
+    assert partial.times[-1] == pytest.approx(0.5 - cfg.tau)
+    assert 0 < partial.kind.count("predicted") < 128
+    _assert_scored_alone(flow, partial)
+
+
+def test_non_finite_abort_leaves_the_queued_instants_scored(monkeypatch,
+                                                            smooth7):
+    # one full block scored, then a non-finite solve with instants queued
+    solves, solve = [], znn.solve_batch
+
+    def poisoned(*args):
+        solves.append(solve(*args))
+        if len(solves) == 140:
+            return dataclasses.replace(
+                solves[-1], x=np.full_like(solves[-1].x, np.nan))
+        return solves[-1]
+    monkeypatch.setattr(znn, "solve_batch", poisoned)
+    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    with pytest.raises(NumericalAbort, match="non-finite") as info:
+        run(smooth7, cfg)
+    partial = info.value.trajectory
+    assert partial.kind.count("predicted") == 139
+    _assert_scored_alone(smooth7, partial)

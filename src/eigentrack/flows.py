@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -107,9 +108,17 @@ class OrthogonalRandomizer:
 
     @classmethod
     def from_seed(cls, n: int, seed: int) -> "OrthogonalRandomizer":
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((n, n))
-        Q, R = np.linalg.qr(M)
+        """The Q factor of an n x n standard Gaussian matrix, with R's
+        diagonal made positive, so U is Haar-distributed and fixed per
+        seed.  The Gaussians come from the standard library's
+        ``random.Random(seed)``: a run that needs no other randomness then
+        never loads ``numpy.random``."""
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {seed!r}")
+        rng = random.Random(int(seed))
+        M = np.array([rng.gauss(0.0, 1.0) for _ in range(n * n)])
+        Q, R = np.linalg.qr(M.reshape(n, n))
         d = np.diag(R)
         Q = Q * np.where(d < 0.0, -1.0, 1.0)[None, :]
         return cls(U=Q, seed=int(seed))

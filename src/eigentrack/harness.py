@@ -64,6 +64,25 @@ def orth_deviation(block):
     return fro_norms(G)
 
 
+def _median(values) -> float:
+    """``np.median`` of a non-empty float array, flattened, bit for bit.
+
+    Same partition and the same mean (a sum started from +0.0), but
+    without ``np.median``'s masked-array test, which imports ``numpy.ma``
+    into every run: the middle value, or the mean of the middle two; NaN
+    if any value is NaN.
+    """
+    a = np.ravel(values)
+    half = a.size // 2
+    even = a.size % 2 == 0
+    part = np.partition(a, [half - 1, half, -1] if even else [half, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    if even:
+        return (0.0 + float(part[half - 1]) + float(part[half])) / 2.0
+    return 0.0 + float(part[half])
+
+
 def _spans(flags):
     """The maximal runs of True in a boolean array, in order, as an (m, 2)
     array of (start, stop) indices, stop exclusive."""
@@ -97,7 +116,7 @@ def steady_mask(traj: Trajectory, residuals: np.ndarray):
                                   0, pad)}
     mask = ~excluded["startup"]
     if mask.any():
-        provisional = float(np.median(residuals[mask]))
+        provisional = _median(residuals[mask])
         # floor the threshold: on flows tracked to exact zero the median
         # collapses and 1000x(nothing) would flag plain rounding noise
         threshold = max(_GLITCH_FACTOR * provisional, _GLITCH_FLOOR)
@@ -128,7 +147,7 @@ def _steady_stats(score, orth, mask) -> dict:
     one stretch of a run."""
     stats = {"steady_instants": int(mask.sum())}
     if mask.any():
-        stats["median_residual"] = float(np.median(score[mask]))
+        stats["median_residual"] = _median(score[mask])
         stats["max_residual"] = float(score[mask].max())
         stats["max_orth_deviation"] = float(orth[mask].max())
     return stats
@@ -248,7 +267,7 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = 0.0,
         if metric == "matrix":
             score[lo:hi] = residual(samples[1:], blocks, metric="matrix")
         A, prev = samples[-1], blocks[-1]
-    summary = {"median_residual": float(np.median(score)),
+    summary = {"median_residual": _median(score),
                "max_residual": float(score.max()), "metric": metric}
     return BaselineReport(times=times[1:], residuals=res, summary=summary)
 

@@ -241,6 +241,21 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     assert argv[-2].lstrip("-").replace("-", "_") in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exit_2_naming_seed(source, tmp_path, capsys):
+    if source == "flag":
+        argv = ("--seed", "-5")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"randomize_seed": -5}))
+        argv = ("--config", str(cfg))
+    rc = run_cli("run", *argv, "--output", str(tmp_path) + "/")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: seed must be a non-negative integer, got -5" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("--tau", "5e-324"),       # (tf - t0) / tau overflows to inf
     ("--tau", "1e-300"),

@@ -100,6 +100,18 @@ def test_randomizer_determinism():
     assert np.linalg.norm(U1.T @ U1 - np.eye(7)) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [-5, -1, 1.5, 2.0, "7", None])
+def test_randomizer_rejects_a_bad_seed(seed):
+    # random.Random(-5) would quietly reuse seed 5's basis
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        OrthogonalRandomizer.from_seed(7, seed)
+
+
+def test_randomizer_takes_numpy_integer_seeds():
+    U = OrthogonalRandomizer.from_seed(7, np.int64(5)).U
+    assert np.array_equal(U, OrthogonalRandomizer.from_seed(7, 5).U)
+
+
 def test_randomizer_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         OrthogonalRandomizer(U=np.ones((3, 3)), seed=0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eigentrack as et
-from eigentrack.harness import (build_report, convergence_sweep,
+from eigentrack.harness import (_median, build_report, convergence_sweep,
                                 derivative_trace, naive_baseline,
                                 orth_deviation, residual, steady_mask,
                                 timed_run)
@@ -100,6 +100,62 @@ def test_stacked_scores_equal_the_per_instant_arithmetic(n, separated_flow):
         assert residual(A[k], Z[k], metric="matrix") == \
             _residual_one_instant(A[k], Z[k], "matrix")
         assert orth_deviation(Z[k]) == _orth_one_instant(Z[k])
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+_MEDIAN_CASES = {
+    "one": [3.5],
+    "odd": [5.0, -1.0, 2.0, 9.0, 0.25],
+    "even": [5.0, -1.0, 2.0, 9.0, 0.25, 7.0],
+    "two": [1.0, 2.0],
+    "odd ties": [2.0, 1.0, 2.0, 2.0, 3.0],
+    "even ties": [4.0, 1.0, 4.0, 4.0, 9.0, 4.0],
+    "negative zero alone": [-0.0],
+    "negative zeros, odd": [-0.0, -0.0, -0.0],
+    "negative zeros, even": [-0.0, -0.0],
+    "signed zeros, even": [0.0, -0.0, -0.0, 0.0],
+    "signed zeros, odd": [-0.0, 1.0, 0.0, -0.0, -1.0],
+    "infinities, odd": [np.inf, -np.inf, 1.0, np.inf, -2.0],
+    "infinities, even": [np.inf, -np.inf, 1.0, np.inf, -2.0, np.inf],
+    "infinite middle": [np.inf, np.inf, 1.0, np.inf],
+    "tiny and huge": [5e-324, 1.7976931348623157e308, 1.0, 2.0],
+}
+
+
+@pytest.mark.parametrize("case", list(_MEDIAN_CASES))
+def test_median_equals_np_median_bit_for_bit(case):
+    values = np.array(_MEDIAN_CASES[case])
+    assert _bits(_median(values)) == _bits(np.median(values))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 129, 4000])
+def test_median_equals_np_median_on_random_data(size):
+    values = np.random.default_rng(size).standard_normal(size)
+    values[::3] = np.round(values[::3], 1)        # ties
+    assert _bits(_median(values)) == _bits(np.median(values))
+
+
+@pytest.mark.parametrize("size", [1, 6, 7])
+def test_median_of_an_input_with_nan_is_nan(size):
+    values = np.linspace(-1.0, 1.0, size)
+    values[size // 2] = np.nan
+    assert np.isnan(_median(values)) and np.isnan(np.median(values))
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_median_of_a_masked_score_selection(n):
+    """_steady_stats takes the median of ``score[mask]``, a 2-D selection
+    of the per-pair scores; it is the median of all its entries."""
+    rng = np.random.default_rng(n)
+    score = rng.standard_normal((41, n)) ** 2
+    mask = rng.random(41) < 0.6
+    selection = score[mask]
+    assert selection.ndim == 2
+    assert _bits(_median(selection)) == _bits(np.median(selection))
+    assert _bits(_median(selection)) == _bits(np.median(selection.ravel()))
 
 
 # ------------------------------------------------------------ steady window

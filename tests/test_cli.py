@@ -231,6 +231,7 @@ def test_run_abort_at_first_instant(tmp_path, capsys, monkeypatch):
     ("run", "--jump-threshold", "-5"),
     ("baseline", "--tau", "nan"),
     ("run", "--jumps", "nan"),
+    ("converge", "--taus", "0.01,abc,0.005"),
 ])
 def test_config_errors_exit_2(argv, tmp_path, capsys):
     rc = run_cli(*argv, "--output", str(tmp_path) + "/")

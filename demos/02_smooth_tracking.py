@@ -32,7 +32,8 @@ print("\n   t      predicted lam_1..lam_3         decomposed lam_1..lam_3")
 for t_probe in (5.0, 10.0, 15.0):
     k = int(round(t_probe / cfg.tau))
     lam_pred = np.sort(traj.z[k, :, 7])[:3]
-    lam_true = et.sym_eig(flow.sample(traj.times[k])).eigenvalues[:3]
+    w, _ = et.sym_eig_batch(flow.sample(traj.times[k])[None])
+    lam_true = w[0, :3]
     print("  %4.1f   %s   %s"
           % (t_probe,
              " ".join("%9.5f" % v for v in lam_pred),

@@ -31,13 +31,14 @@ print("drift-norm estimate around the first switch:")
 for k in range(1596, 1606):
     t = traj.times[k]
     da = traj.da_norms[k]
-    note = "   <-- restart" if traj.kind[k] == "restart-triggered" else ""
+    kind = et.KINDS[traj.kind_code[k]]
+    note = "   <-- restart" if kind == "restart-triggered" else ""
     print("  t=%.3f  kind=%-17s  ||dA/dt|| ~ %s%s"
-          % (t, traj.kind[k],
-             "   (warming up)" if np.isnan(da) else "%8.1f" % da, note))
+          % (t, kind, "   (warming up)" if np.isnan(da) else "%8.1f" % da,
+             note))
 
-print("\nall restarts:", [(float(e.t), round(float(e.da_norm), 1))
-                          for e in traj.restart_events()])
+print("\nall restarts:", [(t, round(spike, 1))
+                          for t, spike in traj.restarts()])
 
 # --- damage assessment -------------------------------------------------------
 # each restart costs s*-1 startup instants plus a settling tail; the

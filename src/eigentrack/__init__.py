@@ -17,9 +17,8 @@ driver), `harness` (metrics, reports, baselines, sweeps), `cli`
 (command-line front end).
 """
 
-from .densela import (AsymmetryError, EigenDecomposition, LinearSolveReport,
-                      MatrixShapeError, fro_norm, solve, solve_augmented,
-                      sym_eig, sym_eig_batch)
+from .densela import (AsymmetryError, LinearSolveReport, MatrixShapeError,
+                      fro_norm, solve_augmented, sym_eig_batch)
 from .flows import (FlowFileError, InterpolationError, JumpSchedule,
                     MatrixFlow, OrthogonalRandomizer, SpanError,
                     builtin_flows, conjugate, constant_flow,
@@ -30,17 +29,15 @@ from .formulas import (BackwardFormula, FormulaError, LookaheadRecursion,
                        complete_recursion, derivative_estimate,
                        truncation_order)
 from .harness import (BaselineReport, RunReport, SweepReport, build_report,
-                      convergence_sweep, derivative_trace, naive_baseline,
-                      orth_deviation, residual, steady_mask, timed_run)
-from .znn import (NumericalAbort, SolverConfig, StepEvent, Tracker,
-                  Trajectory, run)
+                      convergence_sweep, naive_baseline, orth_deviation,
+                      residual, steady_mask, timed_run)
+from .znn import KINDS, NumericalAbort, SolverConfig, Tracker, Trajectory, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetryError", "EigenDecomposition", "LinearSolveReport",
-    "MatrixShapeError", "fro_norm", "solve", "solve_augmented", "sym_eig",
-    "sym_eig_batch",
+    "AsymmetryError", "LinearSolveReport", "MatrixShapeError", "fro_norm",
+    "solve_augmented", "sym_eig_batch",
     "FlowFileError", "InterpolationError", "JumpSchedule", "MatrixFlow",
     "OrthogonalRandomizer", "SpanError", "builtin_flows",
     "conjugate", "constant_flow", "diag_linear_flow", "flow_from_file",
@@ -49,9 +46,8 @@ __all__ = [
     "catalog", "check_zero_stability", "complete_recursion",
     "derivative_estimate", "truncation_order",
     "BaselineReport", "RunReport", "SweepReport", "build_report",
-    "convergence_sweep", "derivative_trace", "naive_baseline",
-    "orth_deviation", "residual", "steady_mask", "timed_run",
-    "NumericalAbort", "SolverConfig", "StepEvent", "Tracker", "Trajectory",
-    "run",
+    "convergence_sweep", "naive_baseline", "orth_deviation", "residual",
+    "steady_mask", "timed_run",
+    "KINDS", "NumericalAbort", "SolverConfig", "Tracker", "Trajectory", "run",
     "__version__",
 ]

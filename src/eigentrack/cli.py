@@ -8,7 +8,8 @@ Configuration comes from an optional JSON file (--config) overridden by
 flags; every value has a default, and the defaults reproduce the
 benchmark scenario (conjugated 7x7 flow, jumps at t=8 and t=14.5,
 tau=0.005, eta=4.5, ifd5).  Exit codes: 0 clean, 2 configuration error,
-3 numerical abort (partial trajectory still written).
+3 numerical abort (``run`` still writes the partial trajectory;
+``converge`` writes nothing and names the sampling gap that failed).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .flows import (FlowFileError, JumpSchedule, MatrixFlow,
 from .formulas import BackwardFormula, catalog, check_zero_stability
 from .harness import (build_report, convergence_sweep, naive_baseline,
                       timed_run)
-from .znn import NumericalAbort, SolverConfig
+from .znn import _PREDICTED, KINDS, NumericalAbort, SolverConfig
 
 __all__ = ["main"]
 
@@ -509,15 +510,13 @@ def _write_trajectory_csv(path: str, traj) -> None:
               + ",residual,solve_method,event\n")
     # each row's tail "solve_method,event," as an index into `tails`;
     # startup and restart rows hold static eigendata, not a solve
-    kinds = list(dict.fromkeys(["startup", "predicted", "restart-triggered",
-                                *traj.kind]))
-    kind = np.array([kinds.index(k) for k in traj.kind], np.uint8)
+    kind = traj.kind_code
     code = traj.lstsq.astype(np.uint8)
-    code[kind != kinds.index("predicted")] = 2
-    code *= len(kinds)
+    code[kind != _PREDICTED] = 2
+    code *= len(KINDS)
     code += kind[:, None]
     tails = _words([f"{label},{k},".encode() for label in _SOLVE_LABELS
-                    for k in kinds])
+                    for k in KINDS])
     pairs = _pair_words(n)
     with open(path, "wb") as fh:
         fh.write(header.encode())
@@ -667,7 +666,13 @@ def cmd_baseline(cfg: dict, solver: SolverConfig) -> int:
 
 def cmd_converge(cfg: dict, solver: SolverConfig, taus: List[float]) -> int:
     flow = _resolve_flow(cfg)
-    sweep = convergence_sweep(flow, solver, taus)
+    try:
+        sweep = convergence_sweep(flow, solver, taus)
+    except NumericalAbort as exc:
+        failed = exc.trajectory.config
+        print(f"numerical abort in the sweep run at tau={failed.tau!r} "
+              f"(eta={failed.eta!r}): {exc}", file=sys.stderr)
+        return 3
     prefix = cfg["output"]
     csv_path = _out_path(prefix, "converge.csv")
     json_path = _out_path(prefix, "report.json")

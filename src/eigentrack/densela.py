@@ -23,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "LinearSolveReport",
     "BatchSolveReport",
     "MatrixShapeError",
     "AsymmetryError",
-    "sym_eig",
     "sym_eig_batch",
-    "solve",
     "solve_batch",
     "solve_bordered",
     "bordered_stack",
@@ -47,15 +44,6 @@ class MatrixShapeError(ValueError):
 
 class AsymmetryError(ValueError):
     pass
-
-
-@dataclass
-class EigenDecomposition:
-    """Eigenvalues sorted ascending; column i of ``eigenvectors`` pairs
-    with ``eigenvalues[i]``."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass
@@ -197,12 +185,6 @@ def sym_eig_batch(As):
     return w, V
 
 
-def sym_eig(A) -> EigenDecomposition:
-    """Decompose one symmetric matrix; see sym_eig_batch."""
-    w, V = sym_eig_batch(np.asarray(A, dtype=float)[None])
-    return EigenDecomposition(eigenvalues=w[0], eigenvectors=V[0])
-
-
 def solve_augmented(P, q) -> LinearSolveReport:
     """Minimum-norm least-squares solve of P x = q through the SVD.
 
@@ -266,18 +248,6 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
             rep = solve_augmented(Ps[b], qs[b])
             X[b], rpr[b] = rep.x, rep.rpr
     return BatchSolveReport(x=X, lstsq=lstsq, rpr=rpr)
-
-
-def solve(P, q) -> LinearSolveReport:
-    """Solve one square system; see solve_batch for the fallback rule."""
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float).ravel()
-    m = P.shape[0]
-    if P.shape != (m, m):
-        raise MatrixShapeError(f"P must be square, got {P.shape}")
-    if q.shape != (m,):
-        raise MatrixShapeError(f"rhs length {q.shape[0]} != {m}")
-    return solve_batch(P[None], q[None])[0]
 
 
 def bordered_stack(A, Z):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .densela import fro_norm, fro_norms, residual
 from .flows import MatrixFlow
-from .formulas import derivative_estimate
-from .znn import SolverConfig, Trajectory, _static_blocks, run, sample_times
+from .znn import (_PREDICTED, _RESTART, SolverConfig, Trajectory,
+                  _static_blocks, run, sample_times)
 
 __all__ = [
     "residual",
@@ -28,7 +28,6 @@ __all__ = [
     "naive_baseline",
     "SweepReport",
     "convergence_sweep",
-    "derivative_trace",
 ]
 
 # Instants this many steps after a startup block still carry its transient.
@@ -38,9 +37,8 @@ _TRANSIENT_PAD = 10
 _GLITCH_FACTOR = 1000.0
 # relative residuals at or below this are numerically exact, never glitches
 _GLITCH_FLOOR = 1e-13
-# build_report, naive_baseline and derivative_trace sample this many
-# instants at a time, so their memory stays bounded on long spans of
-# large matrices
+# build_report and naive_baseline sample this many instants at a time,
+# so their memory stays bounded on long spans of large matrices
 # (at n = 7, blocks of 256 raised the benchmark's peak RSS by 0.2 MB
 # over scoring one instant at a time, and blocks of 128 by 0.04 MB)
 _BLOCK = 128
@@ -112,8 +110,7 @@ def steady_mask(traj: Trajectory, residuals: np.ndarray):
     so no instant lies in two windows.
     """
     pad = traj.config.s_star + _TRANSIENT_PAD
-    excluded = {"startup": _widen(np.asarray(traj.kind) != "predicted",
-                                  0, pad)}
+    excluded = {"startup": _widen(traj.kind_code != _PREDICTED, 0, pad)}
     mask = ~excluded["startup"]
     if mask.any():
         provisional = _median(residuals[mask])
@@ -187,10 +184,8 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
             score[lo:hi] = residual(A, Z, metric="matrix")
     mask, windows = steady_mask(traj, res)
 
-    kinds = np.asarray(traj.kind)
-    starts = np.flatnonzero(kinds == "restart-triggered")
-    restarts = list(zip(traj.times[starts].tolist(),
-                        traj.da_norms[starts].tolist()))
+    restarts = traj.restarts()
+    starts = np.flatnonzero(traj.kind_code == _RESTART)
     # segments run from the first instant and from each restart; a run
     # aborted before its first instant has none
     bounds = [0, *starts, K1] if K1 else []
@@ -202,7 +197,7 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     summary = {"instants": int(K1), "restarts": len(restarts),
                "metric": metric, **_steady_stats(score, orth, mask)}
     # the whole run: what the steady mask left out shows here
-    predicted = kinds == "predicted"
+    predicted = traj.kind_code == _PREDICTED
     summary["predicted_instants"] = int(predicted.sum())
     summary["excluded_instants"] = int((predicted & ~mask).sum())
     if predicted.any():
@@ -309,32 +304,6 @@ def convergence_sweep(flow: MatrixFlow, template: SolverConfig,
         medians[i] = rep.summary["median_residual"]
     slope = float(np.polyfit(np.log(taus), np.log(medians), 1)[0])
     return SweepReport(taus=taus, etas=etas, medians=medians, slope=slope)
-
-
-def derivative_trace(flow: MatrixFlow, config: SolverConfig):
-    """Frobenius norms of the derivative estimates along the sampling grid.
-
-    Estimates from the same backward windows a run uses, but never
-    restarts: instants whose window straddles a discontinuity show the
-    raw spike.  Entries before the window first fills are NaN.  The grid
-    is sampled in blocks, each carrying the last taps - 1 samples of the
-    block before, so memory stays bounded on long spans.  Returns
-    (times, norms).
-    """
-    der = config.derivative_rule
-    keep = der.taps - 1
-    times = config.times
-    norms = np.full(times.size, np.nan)
-    window = np.empty((0, flow.n, flow.n))
-    for lo in range(0, times.size, _BLOCK):
-        hi = min(lo + _BLOCK, times.size)
-        fresh = np.stack([flow.sample(float(t)) for t in times[lo:hi]])
-        window = np.concatenate([window[-keep:], fresh])
-        first = hi - len(window)       # the instant of window[0]
-        for k in range(max(lo, keep), hi):
-            est = derivative_estimate(der, window[k - first::-1], config.tau)
-            norms[k] = fro_norm(est)
-    return times, norms
 
 
 def timed_run(flow: MatrixFlow, config: SolverConfig):

@@ -36,8 +36,8 @@ from .formulas import (PRESETS, BackwardFormula, LookaheadRecursion, catalog,
                        derivative_estimate)
 
 __all__ = [
+    "KINDS",
     "SolverConfig",
-    "StepEvent",
     "Trajectory",
     "NumericalAbort",
     "Tracker",
@@ -49,6 +49,10 @@ _CATALOG = catalog()
 # The most sampling instants one run may have: 2500 times the 4001 of the
 # benchmark scenario; the (K+1, n, n+1) trajectory is then 4.5 GB at n = 7.
 MAX_INSTANTS = 10**7
+# what each instant of a run is, by its code in ``Trajectory.kind_code``:
+# a prediction, a static startup instant, or the instant that fired a restart
+KINDS = ("predicted", "startup", "restart-triggered")
+_PREDICTED, _STARTUP, _RESTART = range(len(KINDS))
 
 
 class NumericalAbort(RuntimeError):
@@ -142,27 +146,17 @@ class SolverConfig:
 
 
 @dataclass
-class StepEvent:
-    """Per-instant record: tag plus per-pair diagnostics."""
-
-    t: float
-    kind: str                      # predicted | startup | restart-triggered
-    residuals: np.ndarray
-    da_norm: float = float("nan")  # restart-triggered events carry the spike
-
-
-@dataclass
 class Trajectory:
     """Full run output: per-instant stacked vectors and diagnostics.
 
-    Each per-instant fact is stored once, in the arrays;
-    ``restart_events()`` is derived from them.  A restart's spike is the
+    Each per-instant fact is stored once, in the arrays; ``kind`` and
+    ``restarts()`` are derived from them.  A restart's spike is the
     derivative norm logged at its instant.
     """
 
     times: np.ndarray              # (K+1,)
     z: np.ndarray                  # (K+1, n, n+1)
-    kind: list                     # per-instant tag strings
+    kind_code: np.ndarray          # (K+1,) uint8, an index into KINDS
     residuals: np.ndarray          # (K+1, n)
     lstsq: np.ndarray              # (K+1, n), True where the solve fell back
     da_norms: np.ndarray           # (K+1,), NaN where no estimate exists
@@ -172,12 +166,15 @@ class Trajectory:
     def n(self) -> int:
         return self.z.shape[1]
 
-    def restart_events(self) -> List[StepEvent]:
-        return [StepEvent(t=self.times[k], kind=kind,
-                          residuals=self.residuals[k],
-                          da_norm=float(self.da_norms[k]))
-                for k, kind in enumerate(self.kind)
-                if kind == "restart-triggered"]
+    @property
+    def kind(self) -> List[str]:
+        """Each instant's name in KINDS, as a new list."""
+        return [KINDS[c] for c in self.kind_code.tolist()]
+
+    def restarts(self) -> list:
+        """``(t, spike)`` of each restart, in order."""
+        ks = np.flatnonzero(self.kind_code == _RESTART)
+        return list(zip(self.times[ks].tolist(), self.da_norms[ks].tolist()))
 
 
 def _rhs_batch(A, dA, Z, eta: float, mu: float):
@@ -436,7 +433,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         raise ValueError("configured span leaves the flow's domain")
 
     Z = np.zeros((K + 1, n, n + 1))
-    kind = ["predicted"] * (K + 1)
+    kind_code = np.full(K + 1, _PREDICTED, dtype=np.uint8)
     residuals = np.full((K + 1, n), np.nan)
     lstsq = np.zeros((K + 1, n), dtype=bool)
     da_norms = np.full(K + 1, np.nan)
@@ -454,12 +451,12 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     def partial(upto: int) -> Trajectory:
         score(queued)
         return Trajectory(times=times[:upto + 1], z=Z[:upto + 1],
-                          kind=kind[:upto + 1],
+                          kind_code=kind_code[:upto + 1],
                           residuals=residuals[:upto + 1],
                           lstsq=lstsq[:upto + 1],
                           da_norms=da_norms[:upto + 1], config=config)
 
-    def start(k0: int, first_kind: str) -> int:
+    def start(k0: int, first_code: int) -> int:
         last = min(k0 + s_star - 1, K)   # clip when a jump lands near tf
         # A restart samples its first instant again although observe()
         # just saw it: perfbench/worker.py tells restarts from steps by
@@ -475,10 +472,11 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         # a one-sample window has no estimate: index k0 keeps the spike
         da_norms[k0 + 1:last + 1] = norms[1:]
         residuals[k0:last + 1] = residual(samples, blocks)
-        kind[k0:last + 1] = [first_kind] + ["startup"] * (last - k0)
+        kind_code[k0] = first_code
+        kind_code[k0 + 1:last + 1] = _STARTUP
         return last
 
-    k = start(0, "startup")
+    k = start(0, _STARTUP)
     while k < K:
         knew = k + 1
         try:
@@ -489,7 +487,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         A_new = flow.sample(times[knew])
         jump, da_norms[knew] = tracker.observe(A_new)
         if jump:
-            k = start(knew, "restart-triggered")
+            k = start(knew, _RESTART)
             continue
         if not np.isfinite(z).all():
             raise NumericalAbort(
@@ -505,5 +503,6 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         k = knew
 
     score(queued)
-    return Trajectory(times=times, z=Z, kind=kind, residuals=residuals,
-                      lstsq=lstsq, da_norms=da_norms, config=config)
+    return Trajectory(times=times, z=Z, kind_code=kind_code,
+                      residuals=residuals, lstsq=lstsq, da_norms=da_norms,
+                      config=config)

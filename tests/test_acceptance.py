@@ -288,9 +288,9 @@ def test_07_jump_detection(paper_run, acceptance_log):
     smooth = da[(kinds == "predicted") & np.isfinite(da)]
     smooth_max = float(smooth.max())
 
-    events = traj.restart_events()
-    fired_at = sorted(float(e.t) for e in events)
-    spikes = [float(e.da_norm) for e in events]
+    events = traj.restarts()
+    fired_at = sorted(t for t, _ in events)
+    spikes = [spike for _, spike in events]
 
     ok = (smooth_max < 50.0 and fired_at == [8.0, 14.5]
           and all(s > 300.0 for s in spikes))

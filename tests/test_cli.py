@@ -4,12 +4,13 @@ Everything goes through cli.main(argv) in-process: cheaper than
 subprocesses and the exit codes / files are identical.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from eigentrack import cli, znn
+from eigentrack import cli, harness, znn
 from eigentrack.flows import constant_flow, diag_linear_flow, write_flow_file
 
 
@@ -407,3 +408,31 @@ def test_converge_outputs(tmp_path, capsys):
     assert 2.5 < payload["slope"] < 5.5
     meds = payload["medians"]
     assert meds[0] > meds[1] > meds[2] > 0
+
+
+def test_converge_abort_exits_3_naming_the_failing_tau(tmp_path, capsys,
+                                                       monkeypatch):
+    # the sweep's second run (tau = 0.005) meets a non-finite solve
+    taus, run, solve = [], harness.run, znn.solve_batch
+
+    def recording_run(flow, cfg):
+        taus.append(cfg.tau)
+        return run(flow, cfg)
+
+    def poisoned(*args):
+        rep = solve(*args)
+        if taus[-1] == 0.005:
+            return dataclasses.replace(rep, x=np.full_like(rep.x, np.nan))
+        return rep
+    monkeypatch.setattr(harness, "run", recording_run)
+    monkeypatch.setattr(znn, "solve_batch", poisoned)
+    out = str(tmp_path) + "/"
+    rc = run_cli("converge", "--flow", "paper-raw", "--tau", "0.01",
+                 "--eta", "4.5", "--tf", "1.0", "--output", out,
+                 "--taus", "0.01,0.005,0.0025")
+    assert rc == 3
+    assert taus == [0.01, 0.005]
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "tau=0.005 " in err
+    assert "non-finite prediction" in err
+    assert list(tmp_path.iterdir()) == []     # converge writes nothing

@@ -15,7 +15,7 @@ import pytest
 from eigentrack import cli, znn
 from eigentrack.flows import (builtin_flows, constant_flow, diag_linear_flow,
                               flow_from_file, write_flow_file)
-from eigentrack.harness import naive_baseline
+from eigentrack.harness import build_report, naive_baseline
 
 _CHUNK = 1 << 16
 
@@ -173,32 +173,35 @@ def reference_trajectory_csv(path, traj) -> None:
                                 cli._SOLVE_LABELS[codes[i]], kind))
 
 
+# each run maker returns (flow, trajectory)
+
 def _least_squares_run(request, tmp_path):
     # test_cli's trajectory_csv_labels_follow_kind_and_fallback_mask run
-    return znn.run(constant_flow(np.diag([1.0, 1.0, 3.0])),
-                   znn.SolverConfig(tau=0.01, eta=1.0, tf=0.1))
+    flow = constant_flow(np.diag([1.0, 1.0, 3.0]))
+    return flow, znn.run(flow, znn.SolverConfig(tau=0.01, eta=1.0, tf=0.1))
 
 
 def _paper_run(request, tmp_path):
     traj = request.getfixturevalue("paper_run")[0]
-    assert traj.times.size == 4001 and len(traj.restart_events()) == 2
-    return traj
+    assert traj.times.size == 4001 and len(traj.restarts()) == 2
+    return request.getfixturevalue("jump_flow"), traj
 
 
 def _file_flow_n32(request, tmp_path):
     path = tmp_path / "n32.flow"
     flow = request.getfixturevalue("separated_flow")(32, 3)
     write_flow_file(path, flow, t0=0.0, tau=0.005, count=101)
-    return znn.run(flow_from_file(str(path)),
-                   znn.SolverConfig(tau=0.005, eta=4.5, tf=0.5))
+    flow = flow_from_file(str(path))
+    return flow, znn.run(flow, znn.SolverConfig(tau=0.005, eta=4.5, tf=0.5))
 
 
 def _mid_run_abort(request, tmp_path):
     cfg = znn.SolverConfig(tau=0.005, eta=2000.0, tf=2.0)
+    flow = builtin_flows()["A_s"]
     with pytest.raises(znn.NumericalAbort) as info:
-        znn.run(builtin_flows()["A_s"], cfg)
+        znn.run(flow, cfg)
     assert 0 < info.value.trajectory.times.size < 401
-    return info.value.trajectory
+    return flow, info.value.trajectory
 
 
 def _first_startup_abort(request, tmp_path):
@@ -206,24 +209,40 @@ def _first_startup_abort(request, tmp_path):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     request.getfixturevalue("monkeypatch").setattr(
         znn, "sym_eig_batch", failing_eigensolver)
+    flow = constant_flow(np.eye(3))
     with pytest.raises(znn.NumericalAbort) as info:
-        znn.run(constant_flow(np.eye(3)),
-                znn.SolverConfig(tau=0.01, eta=1.0, tf=0.1))
+        znn.run(flow, znn.SolverConfig(tau=0.01, eta=1.0, tf=0.1))
     assert info.value.trajectory.times.size == 0
-    return info.value.trajectory
+    return flow, info.value.trajectory
+
+
+_RUNS = pytest.mark.parametrize("make", [
+    _paper_run, _least_squares_run, _file_flow_n32, _mid_run_abort,
+    _first_startup_abort])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("make", [_paper_run, _least_squares_run,
-                                  _file_flow_n32, _mid_run_abort,
-                                  _first_startup_abort])
+@_RUNS
 def test_trajectory_csv_equals_the_per_row_writer(make, request, tmp_path):
-    traj = make(request, tmp_path)
+    _, traj = make(request, tmp_path)
     cli._write_trajectory_csv(str(tmp_path / "got.csv"), traj)
     reference_trajectory_csv(str(tmp_path / "want.csv"), traj)
     assert ((tmp_path / "got.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@_RUNS
+def test_kind_codes_are_the_one_record_of_each_instant(make, request,
+                                                       tmp_path):
+    # the names, the restart list and the report all read the codes
+    flow, traj = make(request, tmp_path)
+    assert traj.kind_code.dtype == np.uint8
+    assert traj.kind_code.shape == traj.times.shape
+    assert traj.kind == [znn.KINDS[c] for c in traj.kind_code]
+    assert traj.restarts() == build_report(flow, traj).restarts
 
 
 def test_paper_run_formats_every_cell_in_the_kernel(paper_run, tmp_path,

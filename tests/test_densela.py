@@ -11,9 +11,8 @@ import pytest
 import eigentrack as et
 from eigentrack import densela
 from eigentrack.densela import (AsymmetryError, MatrixShapeError,
-                                bordered_stack, solve, solve_augmented,
-                                solve_batch, solve_bordered, sym_eig,
-                                sym_eig_batch)
+                                bordered_stack, solve_augmented,
+                                solve_batch, solve_bordered, sym_eig_batch)
 from eigentrack.flows import builtin_flows
 
 
@@ -22,20 +21,32 @@ def random_symmetric(rng, n, scale=1.0):
     return (M + M.T) / 2.0
 
 
-# ------------------------------------------------------------------ sym_eig
+def eig_one(A):
+    """``sym_eig_batch`` on a stack of one matrix: (w, V)."""
+    w, V = sym_eig_batch(np.asarray(A, dtype=float)[None])
+    return w[0], V[0]
+
+
+def solve_one(P, q):
+    """``solve_batch`` on a stack of one system: its report."""
+    return solve_batch(np.asarray(P, dtype=float)[None],
+                       np.asarray(q, dtype=float)[None])[0]
+
+
+# -------------------------------------------------------------- sym_eig_batch
 
 def test_identity_decomposition():
-    dec = sym_eig(np.eye(3))
-    assert np.array_equal(dec.eigenvalues, np.ones(3))
-    assert np.array_equal(dec.eigenvectors, np.eye(3))
+    w, V = eig_one(np.eye(3))
+    assert np.array_equal(w, np.ones(3))
+    assert np.array_equal(V, np.eye(3))
 
 
 def test_diagonal_matrix_sorted_and_signed():
-    dec = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.array_equal(dec.eigenvalues, np.array([1.0, 2.0, 3.0]))
+    w, V = eig_one(np.diag([3.0, 1.0, 2.0]))
+    assert np.array_equal(w, np.array([1.0, 2.0, 3.0]))
     want = np.zeros((3, 3))
     want[1, 0] = want[2, 1] = want[0, 2] = 1.0   # e2, e3, e1 columns
-    assert np.array_equal(dec.eigenvectors, want)
+    assert np.array_equal(V, want)
 
 
 def test_two_by_two_closed_form(rng):
@@ -43,10 +54,9 @@ def test_two_by_two_closed_form(rng):
         a, b, c = rng.standard_normal(3) * 3.0
         A = np.array([[a, b], [b, c]])
         mid, rad = (a + c) / 2.0, np.hypot((a - c) / 2.0, b)
-        dec = sym_eig(A)
-        assert dec.eigenvalues == pytest.approx([mid - rad, mid + rad],
-                                                abs=1e-12)
-        R = A @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+        w, V = eig_one(A)
+        assert w == pytest.approx([mid - rad, mid + rad], abs=1e-12)
+        R = A @ V - V * w
         assert np.abs(R).max() < 1e-12
 
 
@@ -59,14 +69,13 @@ def test_three_by_three_characteristic_polynomial(rng):
               + A[1, 1] * A[2, 2] - A[1, 2] ** 2)
         det = np.linalg.det(A)
         roots = np.sort(np.roots([1.0, -tr, m2, -det]).real)
-        dec = sym_eig(A)
-        assert dec.eigenvalues == pytest.approx(roots, abs=1e-9)
+        w, _ = eig_one(A)
+        assert w == pytest.approx(roots, abs=1e-9)
 
 
 def test_benchmark_matrix_invariants():
     A = builtin_flows()["A_s"].sample(0.7)
-    dec = sym_eig(A)
-    V, w = dec.eigenvectors, dec.eigenvalues
+    w, V = eig_one(A)
     n = A.shape[0]
     assert np.linalg.norm(V.T @ V - np.eye(n)) <= 1e-10
     assert np.linalg.norm(A @ V - V * w) <= 1e-10 * max(1.0, np.linalg.norm(A))
@@ -77,7 +86,7 @@ def test_benchmark_matrix_invariants():
 def test_eigenvector_sign_convention(rng):
     # largest-magnitude component of every eigenvector is positive
     A = random_symmetric(rng, 5)
-    V = sym_eig(A).eigenvectors
+    _, V = eig_one(A)
     for i in range(5):
         col = V[:, i]
         assert col[np.argmax(np.abs(col))] > 0
@@ -86,13 +95,13 @@ def test_eigenvector_sign_convention(rng):
 def test_asymmetric_input_rejected():
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(AsymmetryError):
-        sym_eig(M)
+        eig_one(M)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_rejected(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        sym_eig(np.array([[1.0, bad], [bad, 1.0]]))
+        eig_one(np.array([[1.0, bad], [bad, 1.0]]))
     stack = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, bad]])])
     with pytest.raises(ValueError, match="matrix 1 "):
         sym_eig_batch(stack)
@@ -100,7 +109,7 @@ def test_non_finite_input_rejected(bad):
 
 def test_bad_shapes_rejected():
     with pytest.raises(MatrixShapeError):
-        sym_eig(np.ones((2, 3)))
+        eig_one(np.ones((2, 3)))
     with pytest.raises(MatrixShapeError):
         sym_eig_batch(np.ones((4, 4)))
 
@@ -109,9 +118,9 @@ def test_batch_equals_scalar(rng):
     As = np.stack([random_symmetric(rng, 4) for _ in range(6)])
     w_b, V_b = sym_eig_batch(As)
     for i in range(6):
-        dec = sym_eig(As[i])
-        assert np.array_equal(w_b[i], dec.eigenvalues)
-        assert np.array_equal(V_b[i], dec.eigenvectors)
+        w, V = eig_one(As[i])
+        assert np.array_equal(w_b[i], w)
+        assert np.array_equal(V_b[i], V)
 
 
 def test_batch_with_mixed_difficulty(rng):
@@ -129,21 +138,21 @@ def test_solve_well_conditioned(rng):
     for _ in range(20):
         P = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
         q = rng.standard_normal(5)
-        rep = solve(P, q)
+        rep = solve_one(P, q)
         assert rep.method == "direct"
         assert 0.0 < rep.rpr <= 1.0
         assert rep.x == pytest.approx(np.linalg.solve(P, q), rel=1e-9)
 
 
 def test_solve_singular_minimum_norm():
-    rep = solve(np.diag([1.0, 0.0]), np.array([3.0, 0.0]))
+    rep = solve_one(np.diag([1.0, 0.0]), np.array([3.0, 0.0]))
     assert rep.method == "least-squares"
     assert rep.x == pytest.approx([3.0, 0.0], abs=1e-12)
 
 
 def test_solve_singular_inconsistent_rhs():
     # unsatisfiable second row: least-squares keeps the consistent part
-    rep = solve(np.diag([1.0, 0.0]), np.array([3.0, 5.0]))
+    rep = solve_one(np.diag([1.0, 0.0]), np.array([3.0, 5.0]))
     assert rep.method == "least-squares"
     assert rep.x == pytest.approx([3.0, 0.0], abs=1e-12)
 
@@ -153,7 +162,7 @@ def test_solve_near_singular_takes_least_squares():
     # ||q|| / (||P||_F ||x||) ~ 1e-14 is what sends it to the fallback
     P = np.diag([1.0, 1e-14])
     q = np.array([1.0, 1.0])
-    rep = solve(P, q)
+    rep = solve_one(P, q)
     assert rep.method == "least-squares"
     assert rep.x == pytest.approx(
         np.linalg.lstsq(P, q, rcond=None)[0], rel=1e-12)
@@ -186,7 +195,7 @@ def test_solve_batch_matches_scalar(rng):
     qs = rng.standard_normal((5, 4))
     reports = solve_batch(Ps, qs)
     for i, rep in enumerate(reports):
-        single = solve(Ps[i], qs[i])
+        single = solve_one(Ps[i], qs[i])
         assert np.array_equal(rep.x, single.x)
         assert rep.method == single.method
 
@@ -231,9 +240,9 @@ def test_solve_batch_mixed_keeps_per_system_labels(rng):
 
 def test_solve_shape_errors():
     with pytest.raises(MatrixShapeError):
-        solve(np.ones((2, 3)), np.ones(2))
+        solve_one(np.ones((2, 3)), np.ones(2))
     with pytest.raises(MatrixShapeError):
-        solve(np.eye(3), np.ones(4))
+        solve_one(np.eye(3), np.ones(4))
     with pytest.raises(MatrixShapeError):
         solve_batch(np.ones((2, 3, 3)), np.ones((3, 3)))
 

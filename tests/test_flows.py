@@ -86,8 +86,7 @@ def test_conjugate_preserves_spectrum(pool):
         A, B = pool["A_s"].sample(t), flow.sample(t)
         assert np.array_equal(B, B.T)
         assert np.trace(B) == pytest.approx(np.trace(A), abs=1e-12)
-        wa = et.sym_eig(A).eigenvalues
-        wb = et.sym_eig(B).eigenvalues
+        wa, wb = et.sym_eig_batch(np.stack([A, B]))[0]
         assert wb == pytest.approx(wa, abs=1e-10)
 
 

@@ -84,8 +84,8 @@ def test_derivative_estimate_needs_full_history():
 
 @pytest.mark.parametrize("name", ["BDF4pt", "BDF5pt"])
 def test_derivative_estimate_input_forms_give_the_same_bits(rules, name):
-    # derivative_trace passes reversed views and the tracker a slice of
-    # its ring buffer; both must give the bits of a plain stack
+    # a startup passes reversed views of its samples and a prediction a
+    # slice of the ring buffer; both must give the bits of a plain stack
     rule = rules[name]
     stack = np.random.default_rng(3).standard_normal((rule.taps + 2, 7, 7))
     want = derivative_estimate(rule, stack, 0.005)

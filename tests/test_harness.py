@@ -1,4 +1,5 @@
-"""Metrics, reports, baseline, sweep, and derivative trace."""
+"""Metrics, reports, baseline, sweep, and the derivative norms of a run
+that never restarts."""
 
 import dataclasses
 import math
@@ -8,9 +9,8 @@ import pytest
 
 import eigentrack as et
 from eigentrack.harness import (_median, build_report, convergence_sweep,
-                                derivative_trace, naive_baseline,
-                                orth_deviation, residual, steady_mask,
-                                timed_run)
+                                naive_baseline, orth_deviation, residual,
+                                steady_mask, timed_run)
 from eigentrack.znn import SolverConfig, run
 
 
@@ -209,7 +209,7 @@ def close_restarts():
 
 def test_steady_mask_keeps_every_restart_tail(close_restarts):
     _, traj = close_restarts
-    assert len(traj.restart_events()) == 20
+    assert len(traj.restarts()) == 20
     mask, _ = steady_mask(traj, traj.residuals)
     pad = traj.config.s_star + 10
     kinds = np.asarray(traj.kind)
@@ -402,46 +402,29 @@ def test_sweep_scales_gain_and_fits_order(short_run):
 
 
 # --------------------------------------------------------- derivative trace
+# a run with an infinite jump threshold never restarts, so its da_norms
+# are the estimates of every backward window, a discontinuity included
+
+def _never_restarting(flow, cfg):
+    return run(flow, dataclasses.replace(cfg, jump_threshold=math.inf))
+
 
 def test_derivative_trace_constant_flow():
     flow = et.constant_flow(np.diag([1.0, 2.0]), label="c")
     cfg = SolverConfig(tau=0.01, eta=1.0, tf=0.5)
-    times, norms = derivative_trace(flow, cfg)
+    norms = _never_restarting(flow, cfg).da_norms
     m = cfg.derivative_rule.taps
     assert np.isnan(norms[: m - 1]).all()
     assert np.nanmax(norms) < 1e-10
-
-
-def test_derivative_trace_matches_the_run(short_run):
-    # same backward windows as the run's own estimates, bit for bit
-    flow, traj = short_run
-    _, norms = derivative_trace(flow, traj.config)
-    assert np.array_equal(norms, traj.da_norms, equal_nan=True)
-
-
-@pytest.mark.parametrize("preset", ["ifd5", "ifd7"])
-def test_derivative_trace_blocks_do_not_change_the_norms(monkeypatch,
-                                                         preset):
-    # BDF4pt and BDF5pt windows, across a jump at 0.5, over 201 instants
-    from eigentrack import harness
-    pool = et.builtin_flows()
-    flow = et.with_jumps(pool["A_s"], pool["A_sj"], et.JumpSchedule((0.5,)))
-    cfg = SolverConfig.from_preset(preset, tau=0.005, eta=1.0, tf=1.0)
-    monkeypatch.setattr(harness, "_BLOCK", 10 ** 6)
-    times, whole = derivative_trace(flow, cfg)
-    monkeypatch.setattr(harness, "_BLOCK", 7)
-    blocked_times, blocks = derivative_trace(flow, cfg)
-    assert np.array_equal(blocked_times, times)
-    assert np.array_equal(blocks, whole, equal_nan=True)
-    assert np.isnan(whole[:cfg.derivative_rule.taps - 1]).all()
-    assert np.isfinite(whole[cfg.derivative_rule.taps - 1:]).all()
 
 
 def test_derivative_trace_sees_raw_spike():
     pool = et.builtin_flows()
     flow = et.with_jumps(pool["A_s"], pool["A_sj"], et.JumpSchedule((0.5,)))
     cfg = SolverConfig(tau=0.005, eta=1.0, tf=1.0)
-    times, norms = derivative_trace(flow, cfg)
+    traj = _never_restarting(flow, cfg)
+    assert not traj.restarts()
+    norms = traj.da_norms
     k = int(round(0.5 / cfg.tau))
     assert norms[k] > 300.0
     m = cfg.derivative_rule.taps

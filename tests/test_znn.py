@@ -75,7 +75,6 @@ def test_config_times_is_the_one_grid(smooth7):
     assert np.array_equal(cfg.times, 0.1 + 0.03 * np.arange(14))
     assert np.array_equal(cfg.times, znn.sample_times(0.1, 0.5, 0.03))
     assert np.array_equal(run(smooth7, cfg).times, cfg.times)
-    assert np.array_equal(et.derivative_trace(smooth7, cfg)[0], cfg.times)
     base = et.naive_baseline(smooth7, tau=0.03, t0=0.1, tf=0.5)
     assert np.array_equal(base.times, cfg.times[1:])
 
@@ -219,7 +218,7 @@ def test_tracker_streams_a_generator_like_run():
     # the restart handled by the caller, and run()'s output bit for bit
     cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(MatrixFlow(n=3, sampler=_jumping, label="jumping"), cfg)
-    assert [e.t for e in traj.restart_events()] == [0.5]
+    assert [t for t, _ in traj.restarts()] == [0.5]
     z, kind, da_norms = _stream_track((_jumping(t) for t in traj.times),
                                       cfg, 3)
     assert kind == traj.kind
@@ -568,7 +567,7 @@ def test_run_smooth_tags_and_residuals(smooth7):
     assert len(traj.kind) == 101
     assert traj.kind[:cfg.s_star] == ["startup"] * cfg.s_star
     assert set(traj.kind[cfg.s_star:]) == {"predicted"}
-    assert not traj.restart_events()
+    assert not traj.restarts()
     assert traj.residuals[cfg.s_star:].max() < 1e-4
     assert traj.lstsq.shape == (101, 7) and not traj.lstsq.any()
     # derivative estimates appear once the sample window fills
@@ -582,10 +581,10 @@ def test_run_restart_protocol():
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
     cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(flow, cfg)
-    events = traj.restart_events()
+    events = traj.restarts()
     assert len(events) == 1
-    assert events[0].t == pytest.approx(0.5, abs=1e-12)
-    assert events[0].da_norm > 300.0
+    assert events[0][0] == pytest.approx(0.5, abs=1e-12)
+    assert events[0][1] > 300.0
     k = int(round(0.5 / cfg.tau))
     assert traj.kind[k] == "restart-triggered"
     assert traj.kind[k + 1: k + cfg.s_star] == ["startup"] * (cfg.s_star - 1)
@@ -599,13 +598,13 @@ def test_run_events_are_derived_from_arrays():
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
     cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(flow, cfg)
-    (restart,) = traj.restart_events()
+    ((t, spike),) = traj.restarts()
     k = int(round(0.5 / cfg.tau))
-    assert restart.t == traj.times[k] and restart.kind == traj.kind[k]
-    assert np.array_equal(restart.residuals, traj.residuals[k])
+    assert t == traj.times[k] and traj.kind[k] == "restart-triggered"
+    assert traj.kind_code[k] == znn.KINDS.index("restart-triggered")
     assert not traj.lstsq[k].any()     # a restart row holds no solve
     # the spike is the derivative norm logged at the restart instant
-    assert restart.da_norm == traj.da_norms[k]
+    assert spike == traj.da_norms[k]
 
 
 def test_run_mixed_fallback_batch():
@@ -628,7 +627,7 @@ def test_run_constant_flow_is_a_fixed_point(smooth7):
     ref = traj.z[cfg.s_star - 1]
     drift = np.abs(traj.z[cfg.s_star - 1:] - ref[None]).max()
     assert drift < 1e-12
-    assert not traj.restart_events()
+    assert not traj.restarts()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -641,7 +640,7 @@ def test_run_aborts_on_divergence(smooth7):
     assert partial.times.size < 401
     assert np.isfinite(partial.z).all()
     # the per-instant records of the partial trajectory cover its instants
-    assert len(partial.kind) == partial.times.size
+    assert partial.kind_code.shape == partial.times.shape
     assert partial.residuals.shape == (partial.times.size, 7)
 
 
@@ -690,9 +689,9 @@ def test_logged_residuals_are_scored_alone_bit_for_bit(
     cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=tf)
     sizes = _spy_blocks(monkeypatch)
     traj = run(flow, cfg)
-    assert len(traj.restart_events()) == 2
+    assert len(traj.restarts()) == 2
     # each start scores its own s* samples in one call; the log the rest
-    starts = 1 + len(traj.restart_events())
+    starts = 1 + len(traj.restarts())
     assert sum(sizes) == traj.kind.count("predicted") + starts * cfg.s_star
     assert len(sizes) - starts > 1 and max(sizes) == block
     _assert_scored_alone(flow, traj)

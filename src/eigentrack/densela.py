@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "LinearSolveReport",
     "BatchSolveReport",
+    "BasisWork",
     "MatrixShapeError",
     "AsymmetryError",
     "sym_eig_batch",
@@ -271,10 +273,11 @@ def bordered_stack(A, Z):
 # per-call cost grows like n^4 while the basis path's is mostly a fixed
 # count of numpy calls.  Per call, in process, on a 2-core Xeon (numpy
 # 2.4, OpenBLAS at one thread), the basis path against bordered_stack +
-# solve_batch, medians of 15 interleaved rounds: n = 7 225 against
-# 79 us, n = 16 206 against 169 us, n = 17 229 against 219 us, n = 18
-# 213 against 222 us, n = 32 308 against 1219 us.
-_BASIS_MIN_N = 18
+# solve_batch, medians of 15 interleaved rounds over 27 states of a
+# rotating flow: n = 7 45 against 23 us, n = 14 49 against 44 us,
+# n = 15 49 against 47 us, n = 16 49 against 55 us, n = 18 52 against
+# 69 us, n = 32 68 against 257 us.
+_BASIS_MIN_N = 16
 # refinement sweeps before an unsettled pair goes to the dense route
 _BASIS_SWEEPS = 4
 # a pair is settled once its transformed residual is this far below its
@@ -282,7 +285,33 @@ _BASIS_SWEEPS = 4
 _BASIS_TOL = 8.0 * np.finfo(float).eps
 
 
-def solve_bordered(A, Z, qs) -> BatchSolveReport:
+class BasisWork:
+    """Work arrays of ``solve_bordered``'s basis route for n pairs.
+
+    Each pass of the route writes into these contiguous (n, n) blocks
+    and (n,) vectors, so a caller that solves one instant after another
+    at the same n, as ``Tracker`` does, keeps one and allocates only the
+    returned report per call.  No value carries over from one call to
+    the next.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        (self.M, self.G, self.E, self.b, self.H, self.W, self.PM, self.PG,
+         self.T, self.T_prev) = np.empty((10, n, n))
+        # writable views of the diagonals
+        (self.M_ii, self.G_ii, self.E_ii, self.b_ii, self.H_ii, self.W_ii,
+         self.PG_ii) = (a.reshape(-1)[::n + 1] for a in (
+             self.M, self.G, self.E, self.b, self.H, self.W, self.PG))
+        (self.g, self.m, self.d, self.neg_g_inv, self.d_g2, self.bn,
+         self.hn, self.nu, self.tn, self.tn_prev, self.tol2, self.r2,
+         self.v) = np.empty((13, n))
+        self.S = np.empty((n, n + 1))
+        self.ones = np.ones(n + 1)
+
+
+def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
+                   ) -> BatchSolveReport:
     """Solve every pair's bordered system at one instant.
 
     System i is [[A - lambda_i I, -x_i], [-x_i^T, 0]] y = qs[i], with row
@@ -308,6 +337,9 @@ def solve_bordered(A, Z, qs) -> BatchSolveReport:
     or when its amplification ratio ||q_i|| / (||P_i||_F ||y_i||) is
     below 1e-12.  All pairs go there when ||X X^T - I||_F exceeds 1/2.
     Pairs solved in the basis count as direct.
+
+    The basis route works in ``work``, a ``BasisWork(n)``, or in one of
+    its own when none is given.  The returned arrays are new.
     """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -319,89 +351,120 @@ def solve_bordered(A, Z, qs) -> BatchSolveReport:
             f"bad shapes {A.shape}, {Z.shape}, {qs.shape}")
     if B != n or n < _BASIS_MIN_N:
         return solve_batch(bordered_stack(A, Z), qs)
+    w = BasisWork(n) if work is None else work
+    if w.n != n:
+        raise MatrixShapeError(f"work arrays for n = {w.n}, not {n}")
 
+    # row sums are products with ones: one BLAS call each, cheaper
+    # than add.reduce along the rows
+    ones = w.ones[:n]
     X = Z[:, :n]
-    lam = Z[:, n][:, None]
-    G = X @ X.T
-    g = G.diagonal()
-    # MG = [M | G] with zero diagonals, so one product applies both
-    MG = np.empty((n, 2 * n))
-    np.matmul(X @ A, X.T, out=MG[:, :n])
-    MG[:, n:] = G
-    # D[i, j] = m_j - lambda_i g_j; the arrowhead takes j = i
-    D = MG.diagonal() - lam * g
-    MG.reshape(-1)[::2 * n + 1] = 0.0
-    MG.reshape(-1)[n::2 * n + 1] = 0.0
-    G = MG[:, n:]
+    lam_col = Z[:, n, None]
+    M, G, E, W = w.M, w.G, w.E, w.W
+    g, m, d, nu = w.g, w.m, w.d, w.nu
+    np.matmul(X, X.T, out=G)
+    np.copyto(g, w.G_ii)
     # the residual test below bounds the original residual only up to
-    # cond(X); ||X X^T - I||_F <= 1/2 keeps cond(X) <= sqrt(3)
-    if not (np.add.reduce(G * G, axis=None)
-            + np.add.reduce((g - 1.0) ** 2) <= 0.25):
+    # cond(X); ||X X^T - I||_F <= 1/2 keeps cond(X) <= sqrt(3), and
+    # every g_i >= 1/2
+    w.G_ii -= 1.0
+    v = G.reshape(-1)
+    if not v.dot(v) <= 0.25:
         return solve_batch(bordered_stack(A, Z), qs)
-    d_ii = D.reshape(-1)[::n + 1].copy()
-    D.reshape(-1)[::n + 1] = 1.0
-    # exact collisions and non-finite entries are marked before dividing
-    D_abs = np.abs(D)
-    ok = ((np.minimum(D_abs.min(axis=1), g) > 0.0)
-          & (D_abs.max(axis=1) < np.inf))
-    b = np.empty((n, n + 1))
-    np.matmul(qs[:, :n], X.T, out=b[:, :n])
-    b[:, n] = qs[:, n]
+    # M and G with zero diagonals: the preconditioner takes those parts
+    w.G_ii.fill(0.0)
+    np.matmul(X, A, out=w.PM)
+    np.matmul(w.PM, X.T, out=M)
+    np.copyto(m, w.M_ii)
+    w.M_ii.fill(0.0)
+    # D[i, j] = m_j - lambda_i g_j, held in E until it is inverted; the
+    # arrowhead takes j = i
+    np.multiply(lam_col, g, out=E)
+    np.subtract(m, E, out=E)
+    np.copyto(d, w.E_ii)
+    # E = 1 / D off the arrowhead (1 / inf = 0 on the diagonal).  A zero
+    # divisor gives inf and a NaN one NaN, so a pair is usable when its
+    # row of E sums to a finite value.  An infinite divisor needs a
+    # non-finite lambda_i, which adding d_ii catches, or a non-finite A,
+    # whose ||P_i||_F fails the amplification test below.
+    w.E_ii.fill(np.inf)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, E, out=E)
+    s = np.matmul(E, ones, out=w.v)
+    s += d
+    ok = np.isfinite(s)
+    b, bn = w.b, w.bn
+    np.matmul(qs[:, :n], X.T, out=b)
+    np.copyto(bn, qs[:, n])
     if np.count_nonzero(ok) < n:
+        # the unusable pairs keep zero rows through the sweeps and are
+        # solved densely below
         bad = ~ok
-        D[bad] = 1.0
-        d_ii[bad] = 0.0
-        g = np.where(bad, 1.0, g)
+        E[bad] = 0.0
+        d[bad] = 0.0
         b[bad] = 0.0
-    E = np.zeros((n, n + 1))
-    np.divide(1.0, D, out=E[:, :n])
-    E.reshape(-1)[::n + 2] = 0.0
-    neg_g_inv = -1.0 / g
-    d_g2 = d_ii * neg_g_inv * neg_g_inv
-    tol2 = _BASIS_TOL ** 2 * np.add.reduce(b * b, axis=1)
+        bn[bad] = 0.0
+    neg_g_inv = np.divide(-1.0, g, out=w.neg_g_inv)
+    d_g2 = np.multiply(d, neg_g_inv, out=w.d_g2)
+    d_g2 *= neg_g_inv
+    tol2 = np.matmul(np.multiply(b, b, out=w.H), ones, out=w.tol2)
+    tol2 += bn * bn
+    tol2 *= _BASIS_TOL ** 2
 
-    def precondition(H):
+    def precondition(H, H_ii, hn):
         # 1 / D off the arrowhead; for (c_i, nu) the 2x2 block
         # [[d_ii, -g_i], [-g_i, 0]] gives c_i = -h_n / g_i and
         # nu = -h_i / g_i - d_ii h_n / g_i^2
-        W = H * E
-        hn = H[:, n]
-        W.reshape(-1)[::n + 2] = hn * neg_g_inv
-        W[:, n] = H.reshape(-1)[::n + 2] * neg_g_inv - d_g2 * hn
-        return W
+        np.multiply(H_ii, neg_g_inv, out=nu)
+        np.subtract(nu, d_g2 * hn, out=nu)
+        np.multiply(H, E, out=W)
+        np.multiply(hn, neg_g_inv, out=w.W_ii)
 
-    def off_terms(W):
+    def off_terms(T, tn):
         # the parts of every system that the preconditioner leaves out
-        P = W[:, :n] @ MG
-        T = np.empty((n, n + 1))
-        top = T[:, :n]
-        np.multiply(lam, P[:, n:], out=top)
-        np.subtract(P[:, :n], top, out=top)
-        top -= W[:, n:] * G
-        np.negative(P[:, n:].diagonal(), out=T[:, n])   # G is symmetric
-        return T
+        PM, PG = w.PM, w.PG
+        np.matmul(W, M, out=PM)
+        np.matmul(W, G, out=PG)
+        np.multiply(lam_col, PG, out=T)
+        np.subtract(PM, T, out=T)
+        T -= np.multiply(nu[:, None], G, out=PM)
+        np.negative(w.PG_ii, out=tn)            # G is symmetric
 
-    W = precondition(b)
-    T = off_terms(W)
+    T, T_prev, tn, tn_prev = w.T, w.T_prev, w.tn, w.tn_prev
+    precondition(b, w.b_ii, bn)
+    off_terms(T, tn)
     for _ in range(_BASIS_SWEEPS):
-        W = precondition(b - T)
-        prev, T = T, off_terms(W)
+        precondition(np.subtract(b, T, out=w.H), w.H_ii,
+                     np.subtract(bn, tn, out=w.hn))
+        T, T_prev, tn, tn_prev = T_prev, T, tn_prev, tn
+        off_terms(T, tn)
         # K y = b - N y_prev holds, so b - K y - N y = N y_prev - N y
-        R = prev - T
-        settled = np.add.reduce(R * R, axis=1) <= tol2
+        R = np.subtract(T_prev, T, out=T_prev)
+        R *= R
+        r2 = np.matmul(R, ones, out=w.r2)
+        rn = np.subtract(tn_prev, tn, out=tn_prev)
+        r2 += rn * rn
+        settled = r2 <= tol2
         if np.count_nonzero(settled) == n:
             break
 
     Y = np.empty((n, n + 1))
-    np.matmul(W[:, :n], X, out=Y[:, :n])
-    Y[:, n] = W[:, n]
+    np.matmul(W, X, out=Y[:, :n])
+    Y[:, n] = nu
     a_diag = A.diagonal()
+    a = A.ravel(order="K")
     # ||P_i||_F^2 = ||offdiag A||^2 + sum_j (a_jj - lambda_i)^2 + 2 ||x_i||^2
-    a_off = max(np.add.reduce(A * A, axis=None) - a_diag @ a_diag, 0.0)
-    P_fro = np.sqrt(a_off + np.add.reduce((a_diag - lam) ** 2, axis=1)
-                    + 2.0 * g)
-    q_norm = np.sqrt(np.add.reduce(qs * qs, axis=1))
-    amp = P_fro * np.sqrt(np.add.reduce(Y * Y, axis=1))
+    a_off = max(a.dot(a) - a_diag @ a_diag, 0.0)
+    P2 = np.subtract(a_diag, lam_col, out=w.PM)
+    P2 *= P2
+    P_fro = np.matmul(P2, ones, out=w.v)
+    P_fro += a_off
+    P_fro += 2.0 * g
+    np.sqrt(P_fro, out=P_fro)
+    S = w.S
+    q_norm = np.sqrt(np.multiply(qs, qs, out=S) @ w.ones)
+    amp = np.sqrt(np.multiply(Y, Y, out=S) @ w.ones)
+    amp *= P_fro
     # as in solve_batch: a NaN or inf y fails the comparison
     direct = settled & ok & (q_norm >= _RPR_MIN * amp)
     # q_i = 0 gives y_i = 0 here and rpr 1, as in solve_batch; the pairs

@@ -172,16 +172,20 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     score = np.empty(K1) if metric == "matrix" else res
     orth = np.empty(K1)
     norm_defect = np.empty(K1)     # worst |x^T x - 1| per instant
-    for lo in range(0, K1, _BLOCK):
-        hi = min(lo + _BLOCK, K1)
-        A = np.stack([flow.sample(float(t)) for t in traj.times[lo:hi]])
-        Z = traj.z[lo:hi]
-        res[lo:hi] = residual(A, Z, metric="pair")
-        orth[lo:hi] = orth_deviation(Z)
-        X = Z[..., :n]
-        norm_defect[lo:hi] = np.abs((X * X).sum(axis=2) - 1.0).max(axis=1)
-        if metric == "matrix":
-            score[lo:hi] = residual(A, Z, metric="matrix")
+    # the instants before an abort can be finite yet large enough to
+    # overflow here; they score inf, as in the run's own log, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, K1, _BLOCK):
+            hi = min(lo + _BLOCK, K1)
+            A = np.stack([flow.sample(float(t)) for t in traj.times[lo:hi]])
+            Z = traj.z[lo:hi]
+            res[lo:hi] = residual(A, Z, metric="pair")
+            orth[lo:hi] = orth_deviation(Z)
+            X = Z[..., :n]
+            norm_defect[lo:hi] = np.abs((X * X).sum(axis=2) - 1.0).max(
+                axis=1)
+            if metric == "matrix":
+                score[lo:hi] = residual(A, Z, metric="matrix")
     mask, windows = steady_mask(traj, res)
 
     restarts = traj.restarts()

@@ -29,7 +29,8 @@ from . import densela
 from .densela import fro_norm, residual, sym_eig_batch
 # perfbench/worker.py times and counts the solve layer by wrapping this
 # module's global ``solve_batch``: keep the name, one call per predict,
-# positional arguments and a report of one entry per pair.
+# positional arguments (A, Z, qs, then the tracker's work arrays) and a
+# report of one entry per pair.
 from .densela import solve_bordered as solve_batch
 from .flows import MatrixFlow
 from .formulas import (PRESETS, BackwardFormula, LookaheadRecursion, catalog,
@@ -297,7 +298,10 @@ class Tracker:
     coefficient row with that slice.  ``samples`` and ``states`` read the
     windows as lists of views, newest first; assigning ``states`` copies
     the given blocks in.  ``dA`` is the derivative estimate at the newest
-    sample.  Each prediction is a new array.
+    sample.  Each prediction is a new array.  At the sizes where
+    ``solve_bordered`` works in the eigenbasis, the tracker owns that
+    solve's work arrays (``densela.BasisWork``), allocated on
+    construction, before the first sample.
     """
 
     def __init__(self, config: SolverConfig, n: int):
@@ -318,6 +322,8 @@ class Tracker:
         self._zp = self._zn = 0
         self.dA = None
         self._pending = None           # the prediction awaiting its sample
+        self._work = (densela.BasisWork(n) if n >= densela._BASIS_MIN_N
+                      else None)
 
     @property
     def samples(self) -> List[np.ndarray]:
@@ -371,7 +377,8 @@ class Tracker:
                 f"do_startup block")
         p = self._zp
         A, Z = self._sbuf[self._sp], self._zbuf[p]
-        sol = solve_batch(A, Z, _rhs_batch(A, self.dA, Z, self.eta, self.mu))
+        qs = _rhs_batch(A, self.dA, Z, self.eta, self.mu)
+        sol = solve_batch(A, Z, qs, self._work)
         z_next = (self.a @ self._zbuf[p:p + m].reshape(m, -1)).reshape(
             self._shape)
         z_next += self.tau_c * sol.x
@@ -476,33 +483,39 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         kind_code[k0 + 1:last + 1] = _STARTUP
         return last
 
-    k = start(0, _STARTUP)
-    while k < K:
-        knew = k + 1
-        try:
-            z, sol = tracker.predict()
-        except (densela.MatrixShapeError, np.linalg.LinAlgError) as exc:
-            raise NumericalAbort(f"solve failed at step {k}: {exc}",
-                                 partial(k)) from exc
-        A_new = flow.sample(times[knew])
-        jump, da_norms[knew] = tracker.observe(A_new)
-        if jump:
-            k = start(knew, _RESTART)
-            continue
-        if not np.isfinite(z).all():
-            raise NumericalAbort(
-                f"non-finite prediction at t={times[knew]}", partial(k))
-        Z[knew] = z
-        lstsq[knew] = sol.lstsq
-        queue_A[queued] = A_new
-        queue_k[queued] = knew
-        queued += 1
-        if queued == block:
-            score(queued)
-            queued = 0
-        k = knew
+    # A diverging run overflows inside the solves and the residual log
+    # before its prediction is found non-finite and the run aborts
+    # with a message: numpy's overflow and invalid-value warnings stay
+    # silent meanwhile.  One context holds for the whole loop, because
+    # entering one costs about a microsecond.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = start(0, _STARTUP)
+        while k < K:
+            knew = k + 1
+            try:
+                z, sol = tracker.predict()
+            except (densela.MatrixShapeError, np.linalg.LinAlgError) as exc:
+                raise NumericalAbort(f"solve failed at step {k}: {exc}",
+                                     partial(k)) from exc
+            A_new = flow.sample(times[knew])
+            jump, da_norms[knew] = tracker.observe(A_new)
+            if jump:
+                k = start(knew, _RESTART)
+                continue
+            if not np.isfinite(z).all():
+                raise NumericalAbort(
+                    f"non-finite prediction at t={times[knew]}", partial(k))
+            Z[knew] = z
+            lstsq[knew] = sol.lstsq
+            queue_A[queued] = A_new
+            queue_k[queued] = knew
+            queued += 1
+            if queued == block:
+                score(queued)
+                queued = 0
+            k = knew
 
-    score(queued)
+        score(queued)
     return Trajectory(times=times, z=Z, kind_code=kind_code,
                       residuals=residuals, lstsq=lstsq, da_norms=da_norms,
                       config=config)

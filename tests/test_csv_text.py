@@ -221,8 +221,6 @@ _RUNS = pytest.mark.parametrize("make", [
     _first_startup_abort])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @_RUNS
 def test_trajectory_csv_equals_the_per_row_writer(make, request, tmp_path):
     _, traj = make(request, tmp_path)
@@ -232,8 +230,6 @@ def test_trajectory_csv_equals_the_per_row_writer(make, request, tmp_path):
             == (tmp_path / "want.csv").read_bytes())
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @_RUNS
 def test_kind_codes_are_the_one_record_of_each_instant(make, request,
                                                        tmp_path):

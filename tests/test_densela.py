@@ -270,7 +270,7 @@ def dense_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [20, 32])
+@pytest.mark.parametrize("n", [densela._BASIS_MIN_N, 20, 32, 64])
 def test_solve_bordered_matches_dense_on_separated_flows(
         rng, separated_flow, dense_calls, n):
     # tracked pairs from a run, so X is near but not exactly orthonormal
@@ -345,6 +345,71 @@ def test_solve_bordered_all_pairs_collide_in_a_run():
     for k in predicted:
         assert traj.lstsq[k].all()
     assert np.isfinite(traj.z).all()
+
+
+def _turned_eigenpairs(n, angle, seed):
+    """A separated matrix, its eigenpairs with the vectors turned by an
+    orthogonal Q = Cayley(angle * S), S a seeded skew matrix, and a
+    right-hand side stack: ``(A, Z, qs)``."""
+    U = et.OrthogonalRandomizer.from_seed(n, seed).U
+    A = U.T @ np.diag(np.arange(n, dtype=float)) @ U
+    A = (A + A.T) / 2
+    w, V = sym_eig_batch(A[None])
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n))
+    S = (S - S.T) / 2
+    eye = np.eye(n)
+    Q = np.linalg.solve(eye - 0.5 * angle * S, eye + 0.5 * angle * S)
+    Z = np.hstack([Q @ V[0].T, w[0][:, None]])
+    return A, Z, rng.standard_normal((n, n + 1))
+
+
+def test_solve_bordered_unsettled_after_the_last_sweep_is_dense(
+        monkeypatch, dense_calls):
+    # vectors turned by about 1e-5 need more than one refinement sweep
+    n = 24
+    A, Z, qs = _turned_eigenpairs(n, 1e-5, seed=3)
+    want = _dense_route(A, Z, qs)
+    rep = solve_bordered(A, Z, qs)
+    assert not dense_calls
+    assert not rep.lstsq.any() and not want.lstsq.any()
+    err = np.linalg.norm(rep.x - want.x, axis=1)
+    assert (err <= 1e-12 * np.linalg.norm(want.x, axis=1)).all()
+    monkeypatch.setattr(densela, "_BASIS_SWEEPS", 1)
+    rep = solve_bordered(A, Z, qs)
+    assert dense_calls == [n]
+    assert np.array_equal(rep.x, want.x)
+    assert np.array_equal(rep.rpr, want.rpr)
+    assert np.array_equal(rep.lstsq, want.lstsq)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_bordered_work_arrays_carry_nothing_between_calls(rng):
+    # the same work arrays through a state that needs sweeps, the
+    # exact-collision state (its unusable pairs take the branch that
+    # zeroes rows) and the first state again: a fresh call's bits
+    n = 20
+    A, Z, qs = _turned_eigenpairs(n, 1e-5, seed=7)
+    d = np.arange(n, dtype=float)
+    d[4] = d[3]
+    collide = (np.diag(d), np.hstack([np.eye(n), d[:, None]]),
+               rng.standard_normal((n, n + 1)))
+    work = densela.BasisWork(n)
+    first = solve_bordered(A, Z, qs, work)
+    assert np.flatnonzero(
+        solve_bordered(*collide, work).lstsq).tolist() == [3, 4]
+    again, fresh = solve_bordered(A, Z, qs, work), solve_bordered(A, Z, qs)
+    for rep in (first, again):
+        assert np.array_equal(rep.x, fresh.x)
+        assert np.array_equal(rep.lstsq, fresh.lstsq)
+        assert np.array_equal(rep.rpr, fresh.rpr)
+    # the report is the caller's to keep: no array of it is a work array
+    for arr in (again.x, again.lstsq, again.rpr):
+        assert not any(np.shares_memory(arr, buf)
+                       for buf in vars(work).values()
+                       if isinstance(buf, np.ndarray))
+    with pytest.raises(MatrixShapeError):
+        solve_bordered(A, Z, qs, densela.BasisWork(n + 1))
 
 
 def test_solve_bordered_near_crossing(rng):

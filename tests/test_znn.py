@@ -630,8 +630,6 @@ def test_run_constant_flow_is_a_fixed_point(smooth7):
     assert not traj.restarts()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_run_aborts_on_divergence(smooth7):
     cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=2000.0, tf=2.0)
     with pytest.raises(NumericalAbort) as info:

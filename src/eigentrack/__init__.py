@@ -13,8 +13,8 @@ Layout: `flows` (benchmark and user-defined matrix flows), `densela`
 (static eigensolver and bordered-system solvers on `numpy.linalg`),
 `formulas` (finite-difference catalog with exactness and stability
 checks), `znn` (the predictor: a streaming `Tracker` and the `run`
-driver), `harness` (metrics, reports, baselines, sweeps), `cli`
-(command-line front end).
+driver), `harness` (metrics, reports, baselines, sweeps), `g17` (the
+"%.17g" text of every file written), `cli` (command-line front end).
 """
 
 from .densela import (AsymmetryError, LinearSolveReport, MatrixShapeError,

@@ -217,6 +217,18 @@ def _solve_each(Ps, qs):
     return X
 
 
+def _amplification_test(q_norm, amp, usable=None):
+    """Both routes' near-singular rule, amp = ||P||_F ||x||: direct when
+    usable and ||q|| >= 1e-12 amp, so q = x = 0 passes and a NaN or inf x
+    fails; rpr = ||q|| / amp, 1 for q = 0 and for the other systems."""
+    direct = q_norm >= _RPR_MIN * amp
+    if usable is not None:
+        direct &= usable
+    rpr = np.divide(q_norm, amp, out=np.ones(len(amp)),
+                    where=direct & (q_norm > 0))
+    return direct, rpr
+
+
 def solve_batch(Ps, qs) -> BatchSolveReport:
     """Solve a stack of square systems P x = q in one LAPACK call.
 
@@ -241,9 +253,7 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
     q_norm = np.sqrt(np.add.reduce(qs * qs, axis=1))
     amp = (np.sqrt(np.add.reduce(Ps * Ps, axis=(1, 2)))
            * np.sqrt(np.add.reduce(X * X, axis=1)))
-    # compared as a product: q = 0 with x = 0 passes, a NaN or inf x fails
-    direct = q_norm >= _RPR_MIN * amp
-    rpr = np.divide(q_norm, amp, out=np.ones(B), where=direct & (q_norm > 0))
+    direct, rpr = _amplification_test(q_norm, amp)
     lstsq = ~direct
     if lstsq.any():
         for b in np.flatnonzero(lstsq):
@@ -465,12 +475,7 @@ def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
     q_norm = np.sqrt(np.multiply(qs, qs, out=S) @ w.ones)
     amp = np.sqrt(np.multiply(Y, Y, out=S) @ w.ones)
     amp *= P_fro
-    # as in solve_batch: a NaN or inf y fails the comparison
-    direct = settled & ok & (q_norm >= _RPR_MIN * amp)
-    # q_i = 0 gives y_i = 0 here and rpr 1, as in solve_batch; the pairs
-    # that are not direct (y_i = 0 when marked) are overwritten below
-    pad = (q_norm == 0.0) | ~direct
-    rpr = (q_norm + pad) / (amp + pad)
+    direct, rpr = _amplification_test(q_norm, amp, settled & ok)
     lstsq = np.zeros(n, dtype=bool)
     if np.count_nonzero(direct) == n:
         return BatchSolveReport(x=Y, lstsq=lstsq, rpr=rpr)

@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .g17 import _g17_cells, _instant_blocks, _rows_text
+
 __all__ = [
     "MatrixFlow",
     "JumpSchedule",
@@ -241,6 +243,7 @@ def diag_linear_flow() -> MatrixFlow:
 
 
 _GRID_REL_TOL = 1e-9
+_SPACES = bytes.maketrans(b",", b" ")
 
 
 def flow_from_file(path) -> MatrixFlow:
@@ -353,22 +356,26 @@ def write_flow_file(path, flow: MatrixFlow, t0: float, tau: float,
                     count: int) -> None:
     """Record ``count`` equally spaced samples of a flow to a text file.
 
-    Numbers are written with 17 significant digits, so reading the file
-    back reproduces the sampled matrices bit for bit.  Blocks are written
-    as they are sampled; if a sample fails, the partial file is removed,
-    since its complete blocks would load as a shorter flow.
+    Numbers are the "%.17g" text of the CSV kernel (``g17``), so reading
+    the file back reproduces the sampled matrices bit for bit.  Samples
+    are written a kernel block at a time; if one fails, the partial file
+    is removed, since its complete blocks would load as a shorter flow.
     """
-    if tau <= 0:
-        raise ValueError("sampling gap must be positive")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0={t0} is not finite")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"sampling gap tau={tau} is not positive and finite")
     if count < 1:
         raise ValueError("need at least one sample")
-    with open(path, "w") as fh:
+    n = flow.n
+    with open(path, "wb") as fh:
         try:
-            fh.write(f"n={flow.n} tau={tau:.17g} t0={t0:.17g}")
-            for k in range(count):
-                M = flow.sample(t0 + k * tau)
-                fh.write("\n" + "\n".join(" ".join(f"{x:.17g}" for x in row)
-                                          for row in M) + "\n")
+            fh.write(f"n={n} tau={tau:.17g} t0={t0:.17g}".encode())
+            for block in _instant_blocks(count, n * n):
+                cells = _g17_cells(np.stack([flow.sample(t0 + k * tau)
+                                             for k in range(count)[block]]))
+                for rows in cells.reshape(-1, n, 4 * n):
+                    fh.write(b"\n" + _rows_text(rows).translate(_SPACES))
         except BaseException:
             fh.close()
             os.remove(path)

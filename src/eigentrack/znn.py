@@ -298,10 +298,9 @@ class Tracker:
     coefficient row with that slice.  ``samples`` and ``states`` read the
     windows as lists of views, newest first; assigning ``states`` copies
     the given blocks in.  ``dA`` is the derivative estimate at the newest
-    sample.  Each prediction is a new array.  At the sizes where
-    ``solve_bordered`` works in the eigenbasis, the tracker owns that
-    solve's work arrays (``densela.BasisWork``), allocated on
-    construction, before the first sample.
+    sample.  Each prediction is a new array.  The tracker owns the work
+    arrays of ``solve_bordered`` (a ``densela.BasisWork``), allocated on
+    construction; ``densela`` alone decides at which n they are used.
     """
 
     def __init__(self, config: SolverConfig, n: int):
@@ -322,8 +321,7 @@ class Tracker:
         self._zp = self._zn = 0
         self.dA = None
         self._pending = None           # the prediction awaiting its sample
-        self._work = (densela.BasisWork(n) if n >= densela._BASIS_MIN_N
-                      else None)
+        self._work = densela.BasisWork(n)
 
     @property
     def samples(self) -> List[np.ndarray]:

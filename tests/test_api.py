@@ -8,8 +8,8 @@ import pytest
 import eigentrack
 
 MODULES = ["eigentrack", "eigentrack.cli", "eigentrack.densela",
-           "eigentrack.flows", "eigentrack.formulas", "eigentrack.harness",
-           "eigentrack.znn"]
+           "eigentrack.flows", "eigentrack.formulas", "eigentrack.g17",
+           "eigentrack.harness", "eigentrack.znn"]
 # the batch calls replace sym_eig, EigenDecomposition and solve;
 # Trajectory.restarts() replaces StepEvent and restart_events(); a run
 # with jump_threshold=inf gives derivative_trace's norms as da_norms

@@ -1,6 +1,6 @@
 """The CSV files' "%.17g" text.
 
-``cli._g17_cells`` formats whole blocks of floats with numpy.  These
+``g17._g17_cells`` formats whole blocks of floats with numpy.  These
 tests hold it to Python's own ``"%.17g" % x`` byte for byte, and hold the
 writers to the per-row ``%`` writer they replaced, which is kept here as
 the reference.
@@ -12,7 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from eigentrack import cli, znn
+from eigentrack import cli, g17, znn
 from eigentrack.flows import (builtin_flows, constant_flow, diag_linear_flow,
                               flow_from_file, write_flow_file)
 from eigentrack.harness import build_report, naive_baseline
@@ -22,7 +22,7 @@ _CHUNK = 1 << 16
 
 def kernel_text(values) -> bytes:
     """The kernel's text of ``values``, one value per line."""
-    return cli._rows_text(cli._g17_cells(values))
+    return g17._rows_text(g17._g17_cells(values))
 
 
 def python_text(values) -> bytes:
@@ -75,7 +75,7 @@ def _oracle_values() -> np.ndarray:
     parts.append([y for k in range(-300, 301)
                   for y in _neighbours(float(f"1e{k}"), 1)])
     parts.append([y for x in (1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280,
-                              cli._G17_MIN, cli._G17_MAX)
+                              g17._G17_MIN, g17._G17_MAX)
                   for y in _neighbours(x, 40)])
     parts.append([
         0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
@@ -126,7 +126,7 @@ def test_a_wrong_exponent_estimate_falls_back(shift, monkeypatch):
     # scaled by the wrong power must go to Python's %, never be printed
     # (next to a power of ten the shifted estimate can be the right one)
     values = _oracle_values()[::50]
-    real_exponent, real_fallback = cli._decimal_exponent, cli._g17_fallback
+    real_exponent, real_fallback = g17._decimal_exponent, g17._g17_fallback
     fallback = []
 
     def off_by_one(ax):
@@ -137,8 +137,8 @@ def test_a_wrong_exponent_estimate_falls_back(shift, monkeypatch):
     def spy(cells, values, where):
         fallback.extend(where.tolist())
         real_fallback(cells, values, where)
-    monkeypatch.setattr(cli, "_decimal_exponent", off_by_one)
-    monkeypatch.setattr(cli, "_g17_fallback", spy)
+    monkeypatch.setattr(g17, "_decimal_exponent", off_by_one)
+    monkeypatch.setattr(g17, "_g17_fallback", spy)
     assert kernel_text(values) == python_text(values)
     assert len(fallback) > values.size // 4
 
@@ -147,7 +147,7 @@ def test_kernel_raises_no_floating_point_error():
     values = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, 1e-280, 1e280,
                        1.7976931348623157e308, -np.inf, np.inf, np.nan, 1.0])
     with np.errstate(all="raise"):
-        cli._g17_cells(values)
+        g17._g17_cells(values)
 
 
 # --------------------------------------------------------------------------
@@ -246,12 +246,12 @@ def test_paper_run_formats_every_cell_in_the_kernel(paper_run, tmp_path,
     # a fall back to Python's % per value would keep the bytes and lose
     # the speed; on the default run no value needs it
     fallback = []
-    real = cli._g17_fallback
+    real = g17._g17_fallback
 
     def spy(cells, values, where):
         fallback.extend(values[where].tolist())
         real(cells, values, where)
-    monkeypatch.setattr(cli, "_g17_fallback", spy)
+    monkeypatch.setattr(g17, "_g17_fallback", spy)
     with np.errstate(all="raise"):
         cli._write_trajectory_csv(str(tmp_path / "t.csv"), paper_run[0])
     assert fallback == []

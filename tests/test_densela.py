@@ -364,6 +364,19 @@ def _turned_eigenpairs(n, angle, seed):
     return A, Z, rng.standard_normal((n, n + 1))
 
 
+@pytest.mark.parametrize("n", [7, 20])
+def test_a_zero_rhs_is_direct_with_rpr_one_on_both_routes(dense_calls, n):
+    # q = 0 gives y = 0, which passes the amplification test, and rpr 1;
+    # n = 7 takes the dense route, n = 20 the eigenbasis
+    A, Z, qs = _turned_eigenpairs(n, 1e-8, seed=5)
+    qs[3] = 0.0
+    rep = solve_bordered(A, Z, qs)
+    assert len(dense_calls) == (n == 7)
+    assert not rep.lstsq.any()
+    assert rep.rpr[3] == 1.0 and not rep.x[3].any()
+    assert (rep.rpr < 1.0).sum() == n - 1
+
+
 def test_solve_bordered_unsettled_after_the_last_sweep_is_dense(
         monkeypatch, dense_calls):
     # vectors turned by about 1e-5 need more than one refinement sweep

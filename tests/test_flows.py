@@ -238,24 +238,58 @@ def _recorded(flow, count, t0=0.0, tau=0.01):
     return np.array([flow.sample(t0 + k * tau) for k in range(count)])
 
 
+# entries that take the kernel's % fallback (1e-300, 5e-324, -0.0) and
+# two at the edge of its fixed-point form
+_EDGE_ENTRIES = [[1e-300, 5e-324, -0.0],
+                 [5e-324, 1e16, 99999999999999999.0],
+                 [-0.0, 99999999999999999.0, -1e-300]]
+
+
 def test_write_flow_file_bytes_equal_the_joined_text(tmp_path, separated_flow):
-    for flow in (diag_linear_flow(), separated_flow(5, 3)):
+    # the writer formats 4096 // n^2 samples (at least one) per kernel call;
+    # the counts span several of those blocks and end in the middle of one
+    cases = [(diag_linear_flow(), 13), (separated_flow(5, 3), 13),
+             (constant_flow(_EDGE_ENTRIES), 1000)]
+    cases += [(separated_flow(n, 3), 3 * max(1, 4096 // n ** 2) + 1)
+              for n in (2, 7, 32, 70)]
+    for flow, count in cases:
         path = tmp_path / "f.flow"
-        write_flow_file(path, flow, t0=-0.25, tau=0.01, count=13)
-        expected = _join_based_flow_text(flow, -0.25, 0.01, 13)
-        assert path.read_bytes() == expected.encode()
+        write_flow_file(path, flow, t0=-0.25, tau=0.01, count=count)
+        expected = _join_based_flow_text(flow, -0.25, 0.01, count)
+        assert path.read_bytes() == expected.encode(), (flow.label, count)
 
 
 def test_write_flow_file_removes_a_partial_file(tmp_path):
-    def sampler(t):
-        if t > 0.025:
-            raise RuntimeError("sensor dropped out")
-        return np.eye(2)
-
+    # at n = 7 a block is 4096 // 49 = 83 samples: the sample at t = 1
+    # fails after the first block is on disk
     path = tmp_path / "partial.flow"
-    with pytest.raises(RuntimeError):
-        write_flow_file(path, et.MatrixFlow(2, sampler), t0=0.0, tau=0.01,
-                        count=5)
+    for n, t_fail, count in ((2, 0.025, 5), (7, 0.995, 200)):
+        on_disk = []
+
+        def sampler(t):
+            if t > t_fail:
+                on_disk.append(path.stat().st_size)
+                raise RuntimeError("sensor dropped out")
+            return np.eye(n)
+
+        with pytest.raises(RuntimeError):
+            write_flow_file(path, et.MatrixFlow(n, sampler), t0=0.0,
+                            tau=0.01, count=count)
+        assert not path.exists()
+    assert on_disk[0] > 83 * 49
+
+
+@pytest.mark.parametrize("t0, tau, name", [
+    (float("inf"), 0.01, "t0"), (float("-inf"), 0.01, "t0"),
+    (float("nan"), 0.01, "t0"), (0.0, float("inf"), "tau"),
+    (0.0, float("nan"), "tau"), (0.0, 0.0, "tau"), (0.0, -0.01, "tau")])
+def test_write_flow_file_rejects_a_bad_grid_before_opening(tmp_path, t0, tau,
+                                                          name):
+    # a non-finite t0 would write a header flow_from_file rejects
+    path = tmp_path / "grid.flow"
+    with pytest.raises(ValueError, match=f"^(sampling gap )?{name}="):
+        write_flow_file(path, constant_flow(np.eye(2)), t0=t0, tau=tau,
+                        count=3)
     assert not path.exists()
 
 

@@ -15,7 +15,9 @@ import eigentrack as et
 rand = et.OrthogonalRandomizer.from_seed(7, 7)
 flow = et.conjugate(et.builtin_flows()["A_s"], rand)
 
-cfg = et.SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=20.0)
+# the defaults are the benchmark scenario: tau = 0.005, eta = 4.5 and the
+# ifd5 preset (IFD5 recursion, BDF4pt derivative) over [0, 20]
+cfg = et.SolverConfig()
 traj, elapsed = et.timed_run(flow, cfg)
 report = et.build_report(flow, traj, elapsed=elapsed)
 

@@ -21,7 +21,7 @@ flow = et.with_jumps(et.conjugate(pool["A_s"], rand),
                      et.conjugate(pool["A_sj"], rand),
                      et.JumpSchedule((8.0, 14.5)))
 
-cfg = et.SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=20.0)
+cfg = et.SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=20.0)
 traj = et.run(flow, cfg)
 report = et.build_report(flow, traj)
 

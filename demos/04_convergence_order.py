@@ -21,8 +21,7 @@ flow = et.conjugate(et.builtin_flows()["A_s"], rand)
 taus = [1 / 100, 1 / 200, 1 / 400, 1 / 800]
 
 for preset, band in (("ifd5", "expect ~4"), ("ifd7", "expect ~5")):
-    template = et.SolverConfig.from_preset(preset, tau=1 / 200, eta=4.5,
-                                           tf=10.0)
+    template = et.SolverConfig(preset=preset, tau=1 / 200, eta=4.5, tf=10.0)
     sweep = et.convergence_sweep(flow, template, taus)
     print(f"{preset} sweep (eta*tau fixed at "
           f"{template.eta * template.tau:.4f})")

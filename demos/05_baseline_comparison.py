@@ -23,7 +23,7 @@ tau = 0.001
 bl = et.naive_baseline(flow, tau=tau)
 
 # the tracker, same gap (gain scaled so eta*tau stays in its sweet spot)
-cfg = et.SolverConfig.from_preset("ifd5", tau=tau, eta=80.0, tf=20.0)
+cfg = et.SolverConfig(preset="ifd5", tau=tau, eta=80.0, tf=20.0)
 traj = et.run(flow, cfg)
 report = et.build_report(flow, traj)
 
@@ -41,7 +41,7 @@ smooth = et.conjugate(pool["A_s"], rand)
 print("    tau       baseline      tracker")
 for t_i in (0.01, 0.005, 0.0025):
     b = et.naive_baseline(smooth, tau=t_i, tf=10.0)
-    c = et.SolverConfig.from_preset("ifd5", tau=t_i, eta=0.08 / t_i, tf=10.0)
+    c = et.SolverConfig(preset="ifd5", tau=t_i, eta=0.08 / t_i, tf=10.0)
     r = et.build_report(smooth, et.run(smooth, c))
     print("    %-7g  %.3e     %.3e"
           % (t_i, b.summary["median_residual"],

@@ -47,7 +47,7 @@ with tempfile.TemporaryDirectory() as tmp:
     flow = et.flow_from_file(path)
     print("\nloaded flow: n=%d, span %.2f..%.2f" % (flow.n, *flow.span))
 
-    cfg = et.SolverConfig.from_preset("ifd5", tau=0.01, eta=4.5, tf=4.0)
+    cfg = et.SolverConfig(preset="ifd5", tau=0.01, eta=4.5, tf=4.0)
     traj = et.run(flow, cfg)
     report = et.build_report(flow, traj)
 

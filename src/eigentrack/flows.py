@@ -90,14 +90,16 @@ class MatrixFlow:
 
 @dataclass(frozen=True)
 class JumpSchedule:
-    """Strictly increasing switch times; flows toggle at each one."""
+    """Finite, strictly increasing switch times; flows toggle at each one."""
 
     times: tuple
 
     def __init__(self, times: Sequence[float]):
         times = tuple(float(t) for t in times)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("switch times must be strictly increasing")
+        if (not all(map(math.isfinite, times))
+                or any(b <= a for a, b in zip(times, times[1:]))):
+            raise ValueError(f"jumps must be finite and strictly "
+                             f"increasing, got {list(times)!r}")
         object.__setattr__(self, "times", times)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .densela import fro_norm, fro_norms, residual
 from .flows import MatrixFlow
 from .znn import (_PREDICTED, _RESTART, SolverConfig, Trajectory,
-                  _static_blocks, run, sample_times)
+                  _static_blocks, run)
 
 __all__ = [
     "residual",
@@ -42,6 +42,11 @@ _GLITCH_FLOOR = 1e-13
 # (at n = 7, blocks of 256 raised the benchmark's peak RSS by 0.2 MB
 # over scoring one instant at a time, and blocks of 128 by 0.04 MB)
 _BLOCK = 128
+
+
+def _check_metric(metric) -> None:
+    if metric not in ("pair", "matrix"):      # densela.residual's metrics
+        raise ValueError(f"metric must be 'pair' or 'matrix', got {metric!r}")
 
 
 def orth_deviation(block):
@@ -166,6 +171,7 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     excluded, so a run that diverges inside an excluded window still
     shows it.
     """
+    _check_metric(metric)
     K1 = traj.times.size
     n = traj.n
     res = np.empty((K1, n))
@@ -234,8 +240,9 @@ class BaselineReport:
 
 
 
-def naive_baseline(flow: MatrixFlow, tau: float, t0: float = 0.0,
-                   tf: float = 20.0, metric: str = "pair") -> BaselineReport:
+def naive_baseline(flow: MatrixFlow, tau: float, t0: float = SolverConfig.t0,
+                   tf: float = SolverConfig.tf,
+                   metric: str = "pair") -> BaselineReport:
     """Decompose at t_k, hold the result as the prediction for t_{k+1}.
 
     Uses the same static eigensolver and the same continuity matching as
@@ -243,9 +250,11 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = 0.0,
     the comparison isolates the effect of the look-ahead dynamics.  The
     span is worked through in blocks of instants; each block's matching
     continues from the last pairs of the one before, so the result does
-    not depend on the block size.
+    not depend on the block size.  The grid is ``SolverConfig``'s, and
+    so are the checks of ``tau``, ``t0`` and ``tf``.
     """
-    times = sample_times(t0, tf, tau)
+    _check_metric(metric)
+    times = SolverConfig(tau=tau, t0=t0, tf=tf).times
     K = times.size - 1
     if K < 1:
         raise ValueError("span shorter than one sampling gap")

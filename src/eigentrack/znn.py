@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import List, Optional
 
 import numpy as np
@@ -33,8 +34,7 @@ from .densela import fro_norm, residual, sym_eig_batch
 # report of one entry per pair.
 from .densela import solve_bordered as solve_batch
 from .flows import MatrixFlow
-from .formulas import (PRESETS, BackwardFormula, LookaheadRecursion, catalog,
-                       derivative_estimate)
+from .formulas import PRESETS, catalog, derivative_estimate
 
 __all__ = [
     "KINDS",
@@ -43,7 +43,6 @@ __all__ = [
     "NumericalAbort",
     "Tracker",
     "run",
-    "sample_times",
 ]
 
 _CATALOG = catalog()
@@ -67,29 +66,24 @@ class NumericalAbort(RuntimeError):
         self.trajectory = trajectory
 
 
-def sample_times(t0: float, tf: float, tau: float) -> np.ndarray:
-    """The sampling grid t_k = t0 + k*tau, k = 0..K, K = round((tf-t0)/tau)."""
-    K = int(round((tf - t0) / tau))
-    return t0 + tau * np.arange(K + 1)
-
-
 @dataclass
 class SolverConfig:
-    """Everything a run needs: gaps, gains, rules, thresholds, span.
+    """Everything a run needs: gaps, gains, formula preset, threshold, span.
 
-    ``mu`` (the normalization decay rate) defaults to ``eta``.  The
-    startup length s* is the larger tap count of the chosen recursion and
-    derivative formula.  A ``jump_threshold`` of ``inf`` never restarts.
-    Every field is checked here, so a bad value fails on construction;
-    that includes a grid of more than ``MAX_INSTANTS`` instants, which is
-    rejected before any of it is allocated.
+    The defaults are the benchmark scenario, and the CLI's too.  ``mu``
+    (the normalization decay rate) defaults to ``eta``.  ``preset`` picks
+    a look-ahead recursion and derivative formula pair from ``PRESETS``;
+    the startup length s* is the larger tap count of the two.  A
+    ``jump_threshold`` of ``inf`` never restarts.  Every field's type and
+    range is checked here and each number stored as a float, so a bad
+    value fails on construction; that includes a grid of more than
+    ``MAX_INSTANTS`` instants, rejected before any of it is allocated.
     """
 
-    tau: float
-    eta: float
+    tau: float = 0.005
+    eta: float = 4.5
     mu: Optional[float] = None
-    recursion: str = "IFD5"
-    derivative: str = "BDF4pt"
+    preset: str = "ifd5"
     jump_threshold: float = 300.0
     t0: float = 0.0
     tf: float = 20.0
@@ -97,6 +91,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.mu is None:
             self.mu = self.eta
+        for name in ("tau", "eta", "mu", "jump_threshold", "t0", "tf"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            try:
+                setattr(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} must be finite") from None
         for name in ("tau", "eta", "mu", "t0", "tf"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -115,19 +117,17 @@ class SolverConfig:
             raise ValueError(
                 f"jump_threshold must be positive (inf never restarts), "
                 f"got {self.jump_threshold!r}")
-        for name, kind in (("recursion", LookaheadRecursion),
-                           ("derivative", BackwardFormula)):
-            if not isinstance(_CATALOG.get(getattr(self, name)), kind):
-                raise ValueError(f"{name} {getattr(self, name)!r} is not a "
-                                 f"cataloged {kind.__name__}")
-
-    @classmethod
-    def from_preset(cls, preset: str, **kwargs) -> "SolverConfig":
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; pick one of "
+        if not isinstance(self.preset, str) or self.preset not in PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}; pick one of "
                              f"{', '.join(sorted(PRESETS))}")
-        rec, der = PRESETS[preset]
-        return cls(recursion=rec, derivative=der, **kwargs)
+
+    @property
+    def recursion(self) -> str:
+        return PRESETS[self.preset][0]
+
+    @property
+    def derivative(self) -> str:
+        return PRESETS[self.preset][1]
 
     @property
     def recursion_rule(self):
@@ -143,7 +143,9 @@ class SolverConfig:
 
     @property
     def times(self) -> np.ndarray:
-        return sample_times(self.t0, self.tf, self.tau)
+        """The sampling grid t_k = t0 + k*tau, k = 0..round((tf-t0)/tau)."""
+        K = round((self.tf - self.t0) / self.tau)
+        return self.t0 + self.tau * np.arange(K + 1)
 
 
 @dataclass

@@ -52,7 +52,7 @@ def jump_flow(randomizer):
 @pytest.fixture(scope="session")
 def paper_run(jump_flow):
     """Coarse benchmark run: tau=1/200, eta=4.5, ifd5, t in [0, 20]."""
-    cfg = et.SolverConfig.from_preset("ifd5", tau=1 / 200, eta=4.5)
+    cfg = et.SolverConfig(preset="ifd5", tau=1 / 200, eta=4.5)
     traj, elapsed = et.timed_run(jump_flow, cfg)
     report = et.build_report(jump_flow, traj, elapsed=elapsed)
     return traj, report, elapsed
@@ -61,7 +61,7 @@ def paper_run(jump_flow):
 @pytest.fixture(scope="session")
 def fine_run(jump_flow):
     """Fine benchmark run: tau=0.001, eta=80, ifd5 (crossing stress)."""
-    cfg = et.SolverConfig.from_preset("ifd5", tau=0.001, eta=80.0)
+    cfg = et.SolverConfig(preset="ifd5", tau=0.001, eta=80.0)
     traj, elapsed = et.timed_run(jump_flow, cfg)
     report = et.build_report(jump_flow, traj, elapsed=elapsed)
     return traj, report
@@ -71,7 +71,7 @@ def fine_run(jump_flow):
 def ifd7_run(jump_flow):
     """Fine run with the six-tap recursion; gain scaled into its
     stability region (eta*tau = 0.0225)."""
-    cfg = et.SolverConfig.from_preset("ifd7", tau=0.001, eta=22.5)
+    cfg = et.SolverConfig(preset="ifd7", tau=0.001, eta=22.5)
     traj, elapsed = et.timed_run(jump_flow, cfg)
     report = et.build_report(jump_flow, traj, elapsed=elapsed)
     return traj, report

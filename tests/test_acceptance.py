@@ -87,8 +87,8 @@ def test_01_formula_exactness(acceptance_log):
 
 def test_02_constant_flow_fixed_point(smooth_flow, acceptance_log):
     cflow = et.constant_flow(smooth_flow.sample(0.0), label="const7")
-    cfg = et.SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5,
-                                      t0=0.0, tf=0.005 * 1000 + 0.02)
+    cfg = et.SolverConfig(preset="ifd5", tau=0.005, eta=4.5,
+                          t0=0.0, tf=0.005 * 1000 + 0.02)
     traj = et.run(cflow, cfg)
     z_ref = traj.z[cfg.s_star - 1]
     drift = float(np.abs(traj.z[cfg.s_star - 1:] - z_ref[None]).max())
@@ -104,7 +104,7 @@ def test_02_constant_flow_fixed_point(smooth_flow, acceptance_log):
 
 def test_03_oracle_tracking(acceptance_log):
     flow = et.diag_linear_flow()
-    cfg = et.SolverConfig.from_preset("ifd5", tau=1e-3, eta=4.5, tf=0.2)
+    cfg = et.SolverConfig(preset="ifd5", tau=1e-3, eta=4.5, tf=0.2)
     traj = et.run(flow, cfg)
     errs = []
     for k in range(100, traj.times.size):
@@ -232,15 +232,15 @@ def test_04_floor_rejects_same_instant_eigendata(jump_flow, paper_run):
 
 def test_05_convergence_order(smooth_flow, acceptance_log):
     taus = [1 / 100, 1 / 200, 1 / 400, 1 / 800]
-    tmpl5 = et.SolverConfig.from_preset("ifd5", tau=1 / 200, eta=4.5)
+    tmpl5 = et.SolverConfig(preset="ifd5", tau=1 / 200, eta=4.5)
     sweep5 = et.convergence_sweep(smooth_flow, tmpl5, taus)
 
-    cfg_fine = et.SolverConfig.from_preset("ifd5", tau=1 / 1000, eta=22.5)
+    cfg_fine = et.SolverConfig(preset="ifd5", tau=1 / 1000, eta=22.5)
     rep_fine = et.build_report(smooth_flow, et.run(smooth_flow, cfg_fine))
     med200 = sweep5.medians[list(sweep5.taus).index(1 / 200)]
     ratio = float(med200 / rep_fine.summary["median_residual"])
 
-    tmpl7 = et.SolverConfig.from_preset("ifd7", tau=1 / 200, eta=4.5)
+    tmpl7 = et.SolverConfig(preset="ifd7", tau=1 / 200, eta=4.5)
     sweep7 = et.convergence_sweep(smooth_flow, tmpl7, taus)
 
     ok = (3.2 <= sweep5.slope <= 4.8 and 100.0 <= ratio <= 3000.0

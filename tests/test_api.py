@@ -25,3 +25,5 @@ def test_exports_resolve_and_removed_names_are_gone(name):
     assert [e for e in exports if not hasattr(module, e)] == []
     assert [r for r in REMOVED if r in exports or hasattr(module, r)] == []
     assert not hasattr(eigentrack.Trajectory, "restart_events")
+    # the preset is the one spelling of the formula pair
+    assert not hasattr(eigentrack.SolverConfig, "from_preset")

@@ -12,6 +12,7 @@ import pytest
 
 from eigentrack import cli, harness, znn
 from eigentrack.flows import constant_flow, diag_linear_flow, write_flow_file
+from eigentrack.formulas import PRESETS
 
 
 def run_cli(*argv):
@@ -72,6 +73,25 @@ def test_trajectory_csv_labels_follow_kind_and_fallback_mask(tmp_path):
     assert (labels[predicted]
             == ["least-squares", "least-squares", "direct"]).all()
     assert np.array_equal(labels == "least-squares", traj.lstsq)
+
+
+def test_a_run_without_flags_echoes_the_default_config(tmp_path):
+    assert run_cli("run", "--output", str(tmp_path) + "/") == 0
+    echo = load_strict_json(tmp_path / "report.json")["config"]
+    defaults = {f.name: f.default
+                for f in dataclasses.fields(znn.SolverConfig)}
+    assert {key: echo[key] for key in defaults} == defaults
+    # read back, the echo is SolverConfig() itself, formula names included
+    cfg = znn.SolverConfig(**{key: echo[key] for key in defaults})
+    assert cfg == znn.SolverConfig()
+    assert (echo["recursion"], echo["derivative"]) == ("IFD5", "BDF4pt")
+
+
+def test_preset_help_lists_every_preset(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("run", "--help")
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "formula preset: " + ", ".join(sorted(PRESETS)) in help_text
 
 
 def test_run_prints_the_whole_run_fields(tmp_path, capsys):
@@ -309,7 +329,8 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entry", [{"preset": ["ifd5"]}, {"tau": "0.01"},
-                                   {"jumps": [1.0, "2"]}])
+                                   {"jumps": [1.0, "2"]}, {"tau": True},
+                                   {"metric": ["per-pair"]}])
 def test_config_file_wrong_type_exit_2(entry, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(entry))

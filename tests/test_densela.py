@@ -276,8 +276,8 @@ def test_solve_bordered_matches_dense_on_separated_flows(
     # tracked pairs from a run, so X is near but not exactly orthonormal
     flow = separated_flow(n, seed=n)
     assert n >= densela._BASIS_MIN_N
-    traj = et.run(flow, et.SolverConfig.from_preset(
-        "ifd5", tau=0.005, eta=4.5, tf=0.1))
+    traj = et.run(flow, et.SolverConfig(preset="ifd5", tau=0.005, eta=4.5,
+                                        tf=0.1))
     for k in (5, 12, 20):
         A, Z = flow.sample(traj.times[k]), traj.z[k]
         qs = rng.standard_normal((n, n + 1))

@@ -124,6 +124,15 @@ def test_jump_schedule_validation():
         JumpSchedule((1.0, 1.0))
 
 
+@pytest.mark.parametrize("times", [(1.0, math.nan, 2.0), (math.nan,),
+                                   (1.0, math.inf), (-math.inf, 1.0)])
+def test_jump_schedule_rejects_non_finite_times(times):
+    # a NaN among the switches would leave bisect_right's count wrong:
+    # with (1, nan, 2) the base flow stayed active on [1, 2)
+    with pytest.raises(ValueError, match="jumps must be finite"):
+        JumpSchedule(times)
+
+
 def test_with_jumps_toggles_half_open(pool):
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((1.0, 2.0)))
     base, alt = pool["A_s"], pool["A_sj"]

@@ -164,7 +164,7 @@ def test_median_of_a_masked_score_selection(n):
 def short_run():
     rand = et.OrthogonalRandomizer.from_seed(7, 7)
     flow = et.conjugate(et.builtin_flows()["A_s"], rand)
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=2.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=2.0)
     return flow, run(flow, cfg)
 
 
@@ -203,7 +203,7 @@ def close_restarts():
                          et.conjugate(pool["A_sj"], rand),
                          et.JumpSchedule(tuple(1 + 0.04 * i
                                                for i in range(20))))
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=2.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=2.0)
     return flow, run(flow, cfg)
 
 
@@ -301,6 +301,13 @@ def test_build_report_matrix_metric(short_run):
         flow, traj).summary["median_residual"]
 
 
+def test_build_report_rejects_an_unknown_metric(short_run):
+    flow, traj = short_run
+    with pytest.raises(ValueError, match="metric must be 'pair' or "
+                                         "'matrix', got 'bogus'"):
+        build_report(flow, traj, metric="bogus")
+
+
 def test_build_report_matrix_samples_each_instant_once():
     base = et.diag_linear_flow()
     calls = []
@@ -353,6 +360,19 @@ def test_baseline_short_span_rejected():
         naive_baseline(et.diag_linear_flow(), tau=0.5, t0=0.0, tf=0.25)
 
 
+@pytest.mark.parametrize("tau", [0.0, math.nan, math.inf, -0.01])
+def test_baseline_rejects_a_bad_gap_naming_tau(tau):
+    # the baseline's grid is SolverConfig's, checks included
+    with pytest.raises(ValueError, match="tau must be"):
+        naive_baseline(et.diag_linear_flow(), tau=tau, tf=1.0)
+
+
+def test_baseline_rejects_an_unknown_metric():
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        naive_baseline(et.diag_linear_flow(), tau=0.01, tf=0.5,
+                       metric="bogus")
+
+
 def test_baseline_matrix_metric():
     rep = naive_baseline(et.diag_linear_flow(), tau=0.01, t0=0.0, tf=0.5,
                          metric="matrix")
@@ -382,7 +402,7 @@ def test_baseline_blocks_do_not_change_the_report(monkeypatch, metric):
 
 def test_sweep_needs_three_distinct_gaps():
     flow = et.diag_linear_flow()
-    tmpl = SolverConfig.from_preset("ifd5", tau=0.01, eta=2.0, tf=1.0)
+    tmpl = SolverConfig(preset="ifd5", tau=0.01, eta=2.0, tf=1.0)
     with pytest.raises(ValueError):
         convergence_sweep(flow, tmpl, [0.01, 0.005])
     with pytest.raises(ValueError):
@@ -391,7 +411,7 @@ def test_sweep_needs_three_distinct_gaps():
 
 def test_sweep_scales_gain_and_fits_order(short_run):
     flow, _ = short_run
-    tmpl = SolverConfig.from_preset("ifd5", tau=0.01, eta=4.5, tf=2.0)
+    tmpl = SolverConfig(preset="ifd5", tau=0.01, eta=4.5, tf=2.0)
     sweep = convergence_sweep(flow, tmpl, [0.01, 0.005, 0.0025])
     assert np.array_equal(sweep.taus, np.array([0.01, 0.005, 0.0025]))
     # eta * tau held constant across the sweep
@@ -434,7 +454,7 @@ def test_derivative_trace_sees_raw_spike():
 
 def test_timed_run_returns_elapsed():
     flow = et.diag_linear_flow()
-    cfg = SolverConfig.from_preset("ifd5", tau=0.01, eta=2.0, tf=0.2)
+    cfg = SolverConfig(preset="ifd5", tau=0.01, eta=2.0, tf=0.2)
     traj, elapsed = timed_run(flow, cfg)
     assert elapsed > 0.0
     assert traj.times.size == 21

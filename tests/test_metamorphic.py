@@ -26,8 +26,8 @@ def _jump_flow(pool, rand):
 
 
 def _config(shift=0.0):
-    return et.SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5,
-                                       t0=_T0 + shift, tf=_TF + shift)
+    return et.SolverConfig(preset="ifd5", tau=0.005, eta=4.5,
+                           t0=_T0 + shift, tf=_TF + shift)
 
 
 @pytest.fixture(scope="module")

@@ -26,16 +26,51 @@ def test_config_defaults_and_presets():
     cfg = SolverConfig(tau=0.005, eta=4.5)
     assert cfg.mu == 4.5
     assert cfg.s_star == 4
-    assert SolverConfig.from_preset("ifd6", tau=0.01, eta=1.0).s_star == 5
-    assert SolverConfig.from_preset("ifd7", tau=0.01, eta=1.0).s_star == 6
+    assert SolverConfig(preset="ifd6", tau=0.01, eta=1.0).s_star == 5
+    assert SolverConfig(preset="ifd7", tau=0.01, eta=1.0).s_star == 6
+
+
+def test_default_config_is_the_benchmark_scenario():
+    # the README's scenario: tau = 1/200, eta = 4.5, ifd5 (IFD5 + BDF4pt)
+    # over [0, 20], restart threshold 300; and its quick-start config
+    cfg = SolverConfig()
+    assert dataclasses.astuple(cfg) == (0.005, 4.5, 4.5, "ifd5", 300.0,
+                                        0.0, 20.0)
+    assert (cfg.recursion, cfg.derivative) == ("IFD5", "BDF4pt")
+    assert cfg.times.size == 4001
+    assert cfg == SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=20.0)
+    # one spelling of the formula pair: the preset
+    assert not hasattr(SolverConfig, "from_preset")
+    with pytest.raises(TypeError):
+        SolverConfig(recursion="IFD5")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tau", True), ("tau", "0.01"), ("eta", False), ("mu", "1"),
+    ("jump_threshold", None), ("t0", [0.0]), ("tf", 1 + 0j),
+    ("preset", ["ifd5"]), ("preset", None), ("preset", "IFD5"),
+])
+def test_config_rejects_a_wrong_type_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: value})
+
+
+def test_config_stores_numbers_as_floats():
+    cfg = SolverConfig(tau=np.float32(0.25), eta=2, mu=None,
+                       jump_threshold=np.int64(7), t0=-1, tf=10**3)
+    values = dataclasses.astuple(cfg)
+    assert values == (0.25, 2.0, 2.0, "ifd5", 7.0, -1.0, 1000.0)
+    assert [type(v) for v in values] == [float] * 3 + [str] + [float] * 3
+    with pytest.raises(ValueError, match="tf must be finite"):
+        SolverConfig(tf=10**400)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(tau=-0.01, eta=1.0),
     dict(tau=0.01, eta=0.0),
     dict(tau=0.01, eta=1.0, tf=-1.0),
-    dict(tau=0.01, eta=1.0, recursion="nope"),
-    dict(tau=0.01, eta=1.0, derivative="nope"),
+    dict(tau=0.01, eta=1.0, preset="nope"),
+    dict(tau=0.01, eta=1.0, preset="IFD5"),        # a recursion's name
     dict(tau=float("nan"), eta=1.0),
     dict(tau=float("inf"), eta=1.0),
     dict(tau=0.01, eta=float("nan")),
@@ -49,8 +84,8 @@ def test_config_defaults_and_presets():
     dict(tau=0.01, eta=1.0, jump_threshold=float("nan")),
     dict(tau=0.01, eta=1.0, jump_threshold=0.0),
     dict(tau=0.01, eta=1.0, jump_threshold=-1.0),
-    dict(tau=0.01, eta=1.0, recursion="BDF4pt"),   # a derivative formula
-    dict(tau=0.01, eta=1.0, derivative="IFD5"),    # a recursion
+    dict(tau=0.01, eta=1.0, preset=""),
+    dict(tau=0.01, eta=1.0, preset=("IFD5", "BDF4pt")),   # a pair
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -73,7 +108,6 @@ def test_config_bounds_the_grid_before_allocating_it(monkeypatch):
 def test_config_times_is_the_one_grid(smooth7):
     cfg = SolverConfig(tau=0.03, eta=4.5, t0=0.1, tf=0.5)
     assert np.array_equal(cfg.times, 0.1 + 0.03 * np.arange(14))
-    assert np.array_equal(cfg.times, znn.sample_times(0.1, 0.5, 0.03))
     assert np.array_equal(run(smooth7, cfg).times, cfg.times)
     base = et.naive_baseline(smooth7, tau=0.03, t0=0.1, tf=0.5)
     assert np.array_equal(base.times, cfg.times[1:])
@@ -81,7 +115,7 @@ def test_config_times_is_the_one_grid(smooth7):
 
 def test_unknown_preset():
     with pytest.raises(ValueError):
-        SolverConfig.from_preset("ifd9", tau=0.01, eta=1.0)
+        SolverConfig(preset="ifd9", tau=0.01, eta=1.0)
 
 
 # ----------------------------------------------------------------- assemble
@@ -216,7 +250,7 @@ def _jumping(t):
 def test_tracker_streams_a_generator_like_run():
     # samples from a plain generator, no MatrixFlow: one jump at t = 0.5,
     # the restart handled by the caller, and run()'s output bit for bit
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(MatrixFlow(n=3, sampler=_jumping, label="jumping"), cfg)
     assert [t for t, _ in traj.restarts()] == [0.5]
     z, kind, da_norms = _stream_track((_jumping(t) for t in traj.times),
@@ -227,7 +261,7 @@ def test_tracker_streams_a_generator_like_run():
 
 
 def test_startup_ascending_and_full():
-    cfg = SolverConfig.from_preset("ifd5", tau=0.01, eta=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.01, eta=1.0)
     flow = diag_linear_flow()
     tracker = Tracker(cfg, flow.n)
     blocks, norms = tracker.do_startup(
@@ -252,7 +286,7 @@ def test_startup_signs_are_continuous():
                       [np.sin(th), np.cos(th)]])
         return R @ np.diag([1.0, 3.0]) @ R.T
 
-    cfg = SolverConfig.from_preset("ifd5", tau=0.05, eta=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.05, eta=1.0)
     blocks, _ = Tracker(cfg, 2).do_startup(
         np.stack([sampler(j * cfg.tau) for j in range(cfg.s_star)]))
     for i in range(2):
@@ -486,7 +520,7 @@ def test_ring_windows_follow_the_list_reference(preset, t0, tf, restarts):
     pool = builtin_flows()
     flow = with_jumps(et.conjugate(pool["A_s"], rand),
                       et.conjugate(pool["A_sj"], rand), JumpSchedule((8.0,)))
-    cfg = SolverConfig.from_preset(preset, tau=0.005, eta=4.5, t0=t0, tf=tf)
+    cfg = SolverConfig(preset=preset, tau=0.005, eta=4.5, t0=t0, tf=tf)
     kinds, worst = _lockstep(flow, cfg)
     assert kinds == run(flow, cfg).kind
     assert kinds.count("restart-triggered") == restarts
@@ -544,7 +578,7 @@ def test_predict_reaches_the_solve_hook_once_per_step(
         return estimate(*args, **kwargs)
     monkeypatch.setattr(znn, "solve_batch", solve_batch)
     monkeypatch.setattr(znn, "derivative_estimate", derivative_estimate)
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=0.2)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=0.2)
     traj = run(flow, cfg)
     predicted = traj.kind.count("predicted")
     assert predicted == len(traj.times) - cfg.s_star
@@ -560,7 +594,7 @@ def test_predict_reaches_the_solve_hook_once_per_step(
 
 
 def test_run_smooth_tags_and_residuals(smooth7):
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=0.5)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=0.5)
     traj = run(smooth7, cfg)
     assert traj.times.size == 101
     assert traj.z.shape == (101, 7, 8)
@@ -579,7 +613,7 @@ def test_run_smooth_tags_and_residuals(smooth7):
 def test_run_restart_protocol():
     pool = builtin_flows()
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(flow, cfg)
     events = traj.restarts()
     assert len(events) == 1
@@ -596,7 +630,7 @@ def test_run_restart_protocol():
 def test_run_events_are_derived_from_arrays():
     pool = builtin_flows()
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(flow, cfg)
     ((t, spike),) = traj.restarts()
     k = int(round(0.5 / cfg.tau))
@@ -622,7 +656,7 @@ def test_run_mixed_fallback_batch():
 def test_run_constant_flow_is_a_fixed_point(smooth7):
     A0 = smooth7.sample(0.0)
     flow = constant_flow(A0, label="const7")
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=1.0)
     traj = run(flow, cfg)
     ref = traj.z[cfg.s_star - 1]
     drift = np.abs(traj.z[cfg.s_star - 1:] - ref[None]).max()
@@ -631,7 +665,7 @@ def test_run_constant_flow_is_a_fixed_point(smooth7):
 
 
 def test_run_aborts_on_divergence(smooth7):
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=2000.0, tf=2.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=2000.0, tf=2.0)
     with pytest.raises(NumericalAbort) as info:
         run(smooth7, cfg)
     partial = info.value.trajectory
@@ -684,7 +718,7 @@ def test_logged_residuals_are_scored_alone_bit_for_bit(
     else:
         a, b = separated_flow(n, seed=1), separated_flow(n, seed=2)
     flow = with_jumps(a, b, JumpSchedule((0.5 * tf, 0.8 * tf)))
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=tf)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=tf)
     sizes = _spy_blocks(monkeypatch)
     traj = run(flow, cfg)
     assert len(traj.restarts()) == 2
@@ -699,7 +733,7 @@ def test_restart_abort_leaves_the_queued_instants_scored(monkeypatch):
     # the restart's eigensolver fails while predicted instants are queued
     pool = builtin_flows()
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=1.0)
     calls, eig = [], znn.sym_eig_batch
 
     def failing_on_restart(As):
@@ -728,7 +762,7 @@ def test_non_finite_abort_leaves_the_queued_instants_scored(monkeypatch,
                 solves[-1], x=np.full_like(solves[-1].x, np.nan))
         return solves[-1]
     monkeypatch.setattr(znn, "solve_batch", poisoned)
-    cfg = SolverConfig.from_preset("ifd5", tau=0.005, eta=4.5, tf=1.0)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=1.0)
     with pytest.raises(NumericalAbort, match="non-finite") as info:
         run(smooth7, cfg)
     partial = info.value.trajectory

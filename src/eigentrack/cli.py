@@ -116,7 +116,10 @@ def _merge_config(args) -> dict:
     elif "jumps" not in given and cfg["flow"] in _PAPER_FLOWS:
         cfg["jumps"] = list(_DEFAULT_JUMPS)
     if cfg["jumps"] is not None:
-        cfg["jumps"] = [float(t) for t in cfg["jumps"]]
+        try:
+            cfg["jumps"] = [float(t) for t in cfg["jumps"]]
+        except OverflowError:
+            raise ConfigError("jumps must be finite numbers") from None
     if cfg["randomize_seed"] is None and cfg["flow"] == "paper":
         cfg["randomize_seed"] = _DEFAULT_SEED
     return cfg

@@ -8,17 +8,21 @@ and the square solve take a whole stack of matrices along the leading
 axis in one call; numpy hands each member to LAPACK on its own, so a
 batch result equals the single-matrix one bit for bit.
 
-``solve_bordered`` solves the n bordered systems of one instant
-together in the tracked eigenbasis, with a few matrix products instead
-of n dense factorizations, and hands the pairs it cannot settle there
-to ``solve_batch``.  ``residual`` scores approximate eigenpairs against
-a matrix.
+``solve_bordered`` solves the n bordered systems of one instant.  From
+n = 16 it solves them together in the tracked eigenbasis, with a few
+matrix products instead of n dense factorizations, and hands the pairs
+it cannot settle there to the dense route.  Below that it writes the
+bordered stack into work arrays the caller keeps (``BasisWork``) and
+solves it with one LAPACK call.  Both routes and ``solve_batch`` share
+one near-singular rule, on squared norms, and leave each system's
+conditioning indicator to be derived when it is read.  ``residual``
+scores approximate eigenpairs against a matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -70,15 +74,37 @@ class LinearSolveReport:
 class BatchSolveReport:
     """Solutions of a stack of systems, as arrays.
 
-    ``x`` is the (B, m) solution stack, ``lstsq`` the (B,) mask of the
-    systems that took the least-squares fallback and ``rpr`` the (B,)
-    conditioning indicators, as in LinearSolveReport.  Indexing and
-    iteration give per-system LinearSolveReports.
+    ``x`` is the (B, m) solution stack and ``lstsq`` the (B,) mask of
+    the systems that took the least-squares fallback.  ``q2``, ``P2``
+    and ``x2`` are each system's squared norms ||q||^2, ||P||_F^2 and
+    ||x||^2, which the amplification test compared, and
+    ``fallback_rpr`` holds the fallback's indicators where ``lstsq`` is
+    set (None when no system fell back).  ``rpr``, the (B,) conditioning
+    indicators of LinearSolveReport, is derived from them when it is
+    first read, and kept: ||q|| / (||P||_F ||x||) on the direct path, 1
+    for q = 0.  Indexing and iteration give per-system
+    LinearSolveReports.
     """
 
     x: np.ndarray
     lstsq: np.ndarray
-    rpr: np.ndarray
+    q2: np.ndarray
+    P2: np.ndarray
+    x2: np.ndarray
+    fallback_rpr: Optional[np.ndarray] = None
+    _rpr: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    @property
+    def rpr(self) -> np.ndarray:
+        if self._rpr is None:
+            rpr = np.ones(len(self.lstsq))
+            np.divide(np.sqrt(self.q2), np.sqrt(self.P2) * np.sqrt(self.x2),
+                      out=rpr, where=~self.lstsq & (self.q2 > 0))
+            if self.fallback_rpr is not None:
+                np.copyto(rpr, self.fallback_rpr, where=self.lstsq)
+            self._rpr = rpr
+        return self._rpr
 
     def __len__(self) -> int:
         return len(self.lstsq)
@@ -153,9 +179,10 @@ def residual(A, z, metric: str = "pair"):
 
 
 _ASYM_REL = 1e-12
-# a direct solution whose amplification ratio falls below this is treated
-# as near singular; the ratio is invariant under scaling P and q together
-_RPR_MIN = 1e-12
+# a direct solution whose squared amplification ratio falls below this,
+# (1e-12)^2, is treated as near singular; the ratio is invariant under
+# scaling P and q together
+_RPR_MIN2 = 1e-24
 
 
 def sym_eig_batch(As):
@@ -217,16 +244,41 @@ def _solve_each(Ps, qs):
     return X
 
 
-def _amplification_test(q_norm, amp, usable=None):
-    """Both routes' near-singular rule, amp = ||P||_F ||x||: direct when
-    usable and ||q|| >= 1e-12 amp, so q = x = 0 passes and a NaN or inf x
-    fails; rpr = ||q|| / amp, 1 for q = 0 and for the other systems."""
-    direct = q_norm >= _RPR_MIN * amp
+def _amplification_test(q2, P2, y2, usable=None):
+    """Both routes' near-singular rule on squared norms, q2 = ||q||^2,
+    P2 = ||P||_F^2, y2 = ||y||^2: direct when usable and
+    q2 >= (1e-24 P2) y2, so q = y = 0 passes and a NaN or inf y fails.
+    Scaling P2 first keeps the bound finite wherever ||q|| >= 1e-12
+    ||P||_F ||y|| can hold with a finite q2."""
+    bound = _RPR_MIN2 * P2
+    bound *= y2
+    direct = q2 >= bound
     if usable is not None:
         direct &= usable
-    rpr = np.divide(q_norm, amp, out=np.ones(len(amp)),
-                    where=direct & (q_norm > 0))
-    return direct, rpr
+    return direct
+
+
+def _solve_stack(Ps, qs) -> BatchSolveReport:
+    """The dense route of checked (B, m, m) and (B, m) stacks: one
+    LAPACK call (per-system calls when one member is exactly singular),
+    the amplification test and the least-squares fallback."""
+    try:
+        X = np.linalg.solve(Ps, qs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # numpy fails the whole stack when one member is singular
+        X = _solve_each(Ps, qs)
+    q2 = np.add.reduce(qs * qs, axis=1)
+    P2 = np.add.reduce(Ps * Ps, axis=(1, 2))
+    x2 = np.add.reduce(X * X, axis=1)
+    lstsq = ~_amplification_test(q2, P2, x2)
+    fallback = None
+    if np.count_nonzero(lstsq):
+        fallback = np.zeros(len(X))
+        for b in np.flatnonzero(lstsq):
+            rep = solve_augmented(Ps[b], qs[b])
+            X[b], fallback[b] = rep.x, rep.rpr
+    return BatchSolveReport(x=X, lstsq=lstsq, q2=q2, P2=P2, x2=x2,
+                            fallback_rpr=fallback)
 
 
 def solve_batch(Ps, qs) -> BatchSolveReport:
@@ -234,8 +286,8 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
 
     A system is near singular when LAPACK finds it exactly singular, when
     its solution is not finite, or when its amplification ratio
-    ||q|| / (||P||_F ||x||) is below 1e-12; such a system is handed to
-    solve_augmented instead, and marked in ``lstsq``.
+    ||q|| / (||P||_F ||x||) is below 1e-12 (tested on squares); such a
+    system is handed to solve_augmented instead, and marked in ``lstsq``.
     """
     Ps = np.asarray(Ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
@@ -244,22 +296,7 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
     B, m, _ = Ps.shape
     if qs.shape != (B, m):
         raise MatrixShapeError(f"rhs shape {qs.shape} does not match {Ps.shape}")
-
-    try:
-        X = np.linalg.solve(Ps, qs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # numpy fails the whole stack when one member is singular
-        X = _solve_each(Ps, qs)
-    q_norm = np.sqrt(np.add.reduce(qs * qs, axis=1))
-    amp = (np.sqrt(np.add.reduce(Ps * Ps, axis=(1, 2)))
-           * np.sqrt(np.add.reduce(X * X, axis=1)))
-    direct, rpr = _amplification_test(q_norm, amp)
-    lstsq = ~direct
-    if lstsq.any():
-        for b in np.flatnonzero(lstsq):
-            rep = solve_augmented(Ps[b], qs[b])
-            X[b], rpr[b] = rep.x, rep.rpr
-    return BatchSolveReport(x=X, lstsq=lstsq, rpr=rpr)
+    return _solve_stack(Ps, qs)
 
 
 def bordered_stack(A, Z):
@@ -281,12 +318,12 @@ def bordered_stack(A, Z):
 
 # Below this many pairs every system takes the dense route, whose
 # per-call cost grows like n^4 while the basis path's is mostly a fixed
-# count of numpy calls.  Per call, in process, on a 2-core Xeon (numpy
-# 2.4, OpenBLAS at one thread), the basis path against bordered_stack +
-# solve_batch, medians of 15 interleaved rounds over 27 states of a
-# rotating flow: n = 7 45 against 23 us, n = 14 49 against 44 us,
-# n = 15 49 against 47 us, n = 16 49 against 55 us, n = 18 52 against
-# 69 us, n = 32 68 against 257 us.
+# count of numpy calls.  Per solve_bordered call with its work arrays,
+# in process, on a 2-core Xeon (numpy 2.4, OpenBLAS at one thread), the
+# basis route against the dense route, medians of 15 interleaved rounds
+# over 27 states of a rotating flow: n = 7 43 against 18 us, n = 14 46
+# against 39 us, n = 15 47 against 43 us, n = 16 47 against 50 us,
+# n = 17 48 against 56 us, n = 18 49 against 64 us.
 _BASIS_MIN_N = 16
 # refinement sweeps before an unsettled pair goes to the dense route
 _BASIS_SWEEPS = 4
@@ -296,17 +333,31 @@ _BASIS_TOL = 8.0 * np.finfo(float).eps
 
 
 class BasisWork:
-    """Work arrays of ``solve_bordered``'s basis route for n pairs.
+    """Work arrays of ``solve_bordered`` for n pairs.
 
-    Each pass of the route writes into these contiguous (n, n) blocks
-    and (n,) vectors, so a caller that solves one instant after another
-    at the same n, as ``Tracker`` does, keeps one and allocates only the
-    returned report per call.  No value carries over from one call to
-    the next.
+    A caller that solves one instant after another at the same n, as
+    ``Tracker`` does, keeps one and allocates only the returned report
+    per call.  From ``_BASIS_MIN_N`` pairs they are the basis route's
+    contiguous (n, n) blocks and (n,) vectors, into which each of its
+    passes writes.  Below it they are the dense route's (n, n+1, n+1)
+    bordered stack, whose blocks and borders each call rewrites in place
+    (the border corners stay 0), and an (n, n+1) right-hand side ``q``
+    for the caller to fill; ``q`` is None from ``_BASIS_MIN_N``.  No
+    value carries over from one call to the next.
     """
 
     def __init__(self, n: int):
         self.n = n
+        if n < _BASIS_MIN_N:
+            self.P = np.zeros((n, n + 1, n + 1))
+            # writable views: the A blocks, their diagonals, the borders
+            self.P_A = self.P[:, :n, :n]
+            self.P_ii = self.P.reshape(n, -1)[:, :n * (n + 2):n + 2]
+            self.P_col = self.P[:, :n, n]
+            self.P_row = self.P[:, n, :n]
+            self.q = np.empty((n, n + 1))
+            return
+        self.q = None
         (self.M, self.G, self.E, self.b, self.H, self.W, self.PM, self.PG,
          self.T, self.T_prev) = np.empty((10, n, n))
         # writable views of the diagonals
@@ -318,6 +369,15 @@ class BasisWork:
          self.v) = np.empty((13, n))
         self.S = np.empty((n, n + 1))
         self.ones = np.ones(n + 1)
+
+    def bordered(self, A, Z):
+        """``bordered_stack(A, Z)``, written into the dense route's stack."""
+        n = self.n
+        self.P_A[...] = A
+        self.P_ii -= Z[:, n, None]
+        np.negative(Z[:, :n], out=self.P_col)
+        np.copyto(self.P_row, self.P_col)
+        return self.P
 
 
 def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
@@ -346,10 +406,11 @@ def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
     residual is still above 8 eps ||X r_i; s_i|| after the last sweep,
     or when its amplification ratio ||q_i|| / (||P_i||_F ||y_i||) is
     below 1e-12.  All pairs go there when ||X X^T - I||_F exceeds 1/2.
-    Pairs solved in the basis count as direct.
+    Pairs solved in the basis count as direct.  Below ``_BASIS_MIN_N``
+    every pair takes the dense route, on the work arrays' bordered stack.
 
-    The basis route works in ``work``, a ``BasisWork(n)``, or in one of
-    its own when none is given.  The returned arrays are new.
+    Either route works in ``work``, a ``BasisWork(n)``, or in one of its
+    own when none is given.  The returned arrays are new.
     """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -359,11 +420,13 @@ def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
     if A.shape != (n, n) or Z.shape != (B, n + 1) or qs.shape != (B, n + 1):
         raise MatrixShapeError(
             f"bad shapes {A.shape}, {Z.shape}, {qs.shape}")
-    if B != n or n < _BASIS_MIN_N:
+    if B != n:
         return solve_batch(bordered_stack(A, Z), qs)
     w = BasisWork(n) if work is None else work
     if w.n != n:
         raise MatrixShapeError(f"work arrays for n = {w.n}, not {n}")
+    if n < _BASIS_MIN_N:
+        return _solve_stack(w.bordered(A, Z), qs)
 
     # row sums are products with ones: one BLAS call each, cheaper
     # than add.reduce along the rows
@@ -465,23 +528,27 @@ def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
     a = A.ravel(order="K")
     # ||P_i||_F^2 = ||offdiag A||^2 + sum_j (a_jj - lambda_i)^2 + 2 ||x_i||^2
     a_off = max(a.dot(a) - a_diag @ a_diag, 0.0)
-    P2 = np.subtract(a_diag, lam_col, out=w.PM)
-    P2 *= P2
-    P_fro = np.matmul(P2, ones, out=w.v)
-    P_fro += a_off
-    P_fro += 2.0 * g
-    np.sqrt(P_fro, out=P_fro)
+    D2 = np.subtract(a_diag, lam_col, out=w.PM)
+    D2 *= D2
+    P2 = D2 @ ones
+    P2 += a_off
+    P2 += 2.0 * g
     S = w.S
-    q_norm = np.sqrt(np.multiply(qs, qs, out=S) @ w.ones)
-    amp = np.sqrt(np.multiply(Y, Y, out=S) @ w.ones)
-    amp *= P_fro
-    direct, rpr = _amplification_test(q_norm, amp, settled & ok)
+    q2 = np.multiply(qs, qs, out=S) @ w.ones
+    y2 = np.multiply(Y, Y, out=S) @ w.ones
+    direct = _amplification_test(q2, P2, y2, settled & ok)
     lstsq = np.zeros(n, dtype=bool)
+    report = BatchSolveReport(x=Y, lstsq=lstsq, q2=q2, P2=P2, x2=y2)
     if np.count_nonzero(direct) == n:
-        return BatchSolveReport(x=Y, lstsq=lstsq, rpr=rpr)
+        return report
     dense = np.flatnonzero(~direct)
     rep = solve_batch(bordered_stack(A, Z[dense]), qs[dense])
     Y[dense] = rep.x
-    rpr[dense] = rep.rpr
     lstsq[dense] = rep.lstsq
-    return BatchSolveReport(x=Y, lstsq=lstsq, rpr=rpr)
+    q2[dense] = rep.q2
+    P2[dense] = rep.P2
+    y2[dense] = rep.x2
+    if rep.fallback_rpr is not None:
+        report.fallback_rpr = np.zeros(n)
+        report.fallback_rpr[dense] = rep.fallback_rpr
+    return report

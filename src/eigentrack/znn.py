@@ -180,13 +180,14 @@ class Trajectory:
         return list(zip(self.times[ks].tolist(), self.da_norms[ks].tolist()))
 
 
-def _rhs_batch(A, dA, Z, eta: float, mu: float):
+def _rhs_batch(A, dA, Z, eta: float, mu: float, out=None):
     """Right-hand sides q of the bordered systems of all pairs at one
-    instant, (n_pairs, n+1); Z has shape (n_pairs, n+1)."""
+    instant, (n_pairs, n+1); Z has shape (n_pairs, n+1).  They are
+    written into ``out`` when it is given."""
     n = A.shape[0]
     X = Z[:, :n]
     lam = Z[:, n]
-    qs = np.empty((len(Z), n + 1))
+    qs = np.empty((len(Z), n + 1)) if out is None else out
     # row i is x_i^T (-eta A - dA) + eta lam_i x_i^T: A and dA are symmetric
     Q = X @ (A * -eta - dA)
     Q += (eta * lam)[:, None] * X
@@ -302,7 +303,9 @@ class Tracker:
     the given blocks in.  ``dA`` is the derivative estimate at the newest
     sample.  Each prediction is a new array.  The tracker owns the work
     arrays of ``solve_bordered`` (a ``densela.BasisWork``), allocated on
-    construction; ``densela`` alone decides at which n they are used.
+    construction; ``densela`` alone decides which arrays an n needs.
+    Below the basis route's switch they include the right-hand side,
+    which ``predict`` writes in place.
     """
 
     def __init__(self, config: SolverConfig, n: int):
@@ -377,7 +380,7 @@ class Tracker:
                 f"do_startup block")
         p = self._zp
         A, Z = self._sbuf[self._sp], self._zbuf[p]
-        qs = _rhs_batch(A, self.dA, Z, self.eta, self.mu)
+        qs = _rhs_batch(A, self.dA, Z, self.eta, self.mu, self._work.q)
         sol = solve_batch(A, Z, qs, self._work)
         z_next = (self.a @ self._zbuf[p:p + m].reshape(m, -1)).reshape(
             self._shape)
@@ -430,7 +433,8 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     queue of at most 128 instants and 64 KB, and the queue is scored by
     one stacked ``residual`` call when it is full, at the end of the run
     and before an abort.  The stacked call gives each instant the bits of
-    ``residual(A_k, z_k)`` alone.
+    ``residual(A_k, z_k)`` alone.  The flow is sampled at Python floats,
+    ``times.item(k)``, the same values as the grid's entries.
     """
     s_star = config.s_star
     n = flow.n
@@ -468,7 +472,8 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         # A restart samples its first instant again although observe()
         # just saw it: perfbench/worker.py tells restarts from steps by
         # this repeated sample time, so keep the call order.
-        samples = np.stack([flow.sample(times[k]) for k in range(k0, last + 1)])
+        samples = np.stack([flow.sample(times.item(k))
+                            for k in range(k0, last + 1)])
         try:
             blocks, norms = tracker.do_startup(samples)
         except np.linalg.LinAlgError as exc:
@@ -497,7 +502,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
             except (densela.MatrixShapeError, np.linalg.LinAlgError) as exc:
                 raise NumericalAbort(f"solve failed at step {k}: {exc}",
                                      partial(k)) from exc
-            A_new = flow.sample(times[knew])
+            A_new = flow.sample(times.item(knew))
             jump, da_norms[knew] = tracker.observe(A_new)
             if jump:
                 k = start(knew, _RESTART)

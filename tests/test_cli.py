@@ -330,7 +330,8 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [{"preset": ["ifd5"]}, {"tau": "0.01"},
                                    {"jumps": [1.0, "2"]}, {"tau": True},
-                                   {"metric": ["per-pair"]}])
+                                   {"metric": ["per-pair"]},
+                                   {"jumps": [10**400]}])
 def test_config_file_wrong_type_exit_2(entry, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(entry))

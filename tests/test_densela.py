@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import eigentrack as et
-from eigentrack import densela
+from eigentrack import densela, znn
 from eigentrack.densela import (AsymmetryError, MatrixShapeError,
                                 bordered_stack, solve_augmented,
                                 solve_batch, solve_bordered, sym_eig_batch)
@@ -182,6 +182,18 @@ def test_solve_fallback_choice_is_scale_free(rng, scale):
             assert 0.0 < rep.rpr <= 1.0
 
 
+def test_solve_fallback_rule_holds_where_squared_norms_overflow():
+    # ||q|| / (||P||_F ||x||) is about 1e-2, so the solve is direct,
+    # while ||P||_F^2 ||x||^2 (about 1e310) is past the float range and
+    # ||q||^2 (1e306) is not: the squared rule must not compare q2 with
+    # an overflowed product
+    P = 1e78 * np.diag([1.0, 1e-2])
+    rep = solve_one(P, np.array([0.0, 1e153]))
+    assert rep.method == "direct"
+    assert rep.x == pytest.approx([0.0, 1e77], rel=1e-15)
+    assert rep.rpr == pytest.approx(1e-2 / np.sqrt(1.0001), rel=1e-15)
+
+
 def test_solve_augmented_zero_rows():
     rep = solve_augmented(np.diag([1.0, 0.0]), np.array([3.0, 0.0]))
     assert rep.method == "least-squares"
@@ -255,6 +267,12 @@ def test_norm_helpers():
 
 def _dense_route(A, Z, qs):
     return solve_batch(bordered_stack(A, Z), qs)
+
+
+def _assert_same_bits(rep, want):
+    assert np.array_equal(rep.x, want.x)
+    assert np.array_equal(rep.lstsq, want.lstsq)
+    assert np.array_equal(rep.rpr, want.rpr)
 
 
 @pytest.fixture
@@ -371,10 +389,76 @@ def test_a_zero_rhs_is_direct_with_rpr_one_on_both_routes(dense_calls, n):
     A, Z, qs = _turned_eigenpairs(n, 1e-8, seed=5)
     qs[3] = 0.0
     rep = solve_bordered(A, Z, qs)
-    assert len(dense_calls) == (n == 7)
+    if n < densela._BASIS_MIN_N:
+        _assert_same_bits(rep, _dense_route(A, Z, qs))
+    else:
+        assert not dense_calls
     assert not rep.lstsq.any()
     assert rep.rpr[3] == 1.0 and not rep.x[3].any()
     assert (rep.rpr < 1.0).sum() == n - 1
+
+
+def _dense_route_states(rng, n):
+    """States of the dense route at n pairs: random, a q = 0 row, an
+    exactly colliding pair (a singular stack: per-system solves, then
+    least squares) and a nearly colliding one (LU, then least squares)."""
+    states = []
+    for _ in range(2):
+        states.append((random_symmetric(rng, n),
+                       rng.standard_normal((n, n + 1)),
+                       rng.standard_normal((n, n + 1))))
+    A, Z, qs = _turned_eigenpairs(n, 1e-8, seed=n)
+    qs[n // 2] = 0.0
+    states.append((A, Z, qs))
+    for gap in (0.0, 1e-15):
+        d = np.arange(n, dtype=float)
+        d[1] = d[0] + gap
+        states.append((np.diag(d), np.hstack([np.eye(n), d[:, None]]),
+                       rng.standard_normal((n, n + 1))))
+    return states
+
+
+@pytest.mark.parametrize("n", [2, 7, densela._BASIS_MIN_N - 1])
+def test_dense_route_in_work_arrays_equals_a_fresh_stack(rng, n):
+    states = _dense_route_states(rng, n)
+    wants = [_dense_route(*state) for state in states]
+    assert not wants[0].lstsq.any() and not wants[2].lstsq.any()
+    assert wants[2].rpr[n // 2] == 1.0 and not wants[2].x[n // 2].any()
+    for want in wants[3:]:            # both colliding pairs fall back
+        assert want.lstsq.tolist() == [True, True] + [False] * (n - 2)
+    work = densela.BasisWork(n)
+    # each state twice through one work object, and once more without
+    for state, want in [*zip(states, wants), *zip(states, wants)]:
+        rep = solve_bordered(*state, work)
+        _assert_same_bits(rep, want)
+        _assert_same_bits(solve_bordered(*state), want)
+        # the report is the caller's to keep: no array of it is a work
+        # array
+        for arr in (rep.x, rep.lstsq, rep.q2, rep.P2, rep.x2, rep.rpr,
+                    rep.fallback_rpr):
+            assert arr is None or not any(
+                np.shares_memory(arr, buf) for buf in vars(work).values()
+                if isinstance(buf, np.ndarray))
+    # the border corners are never written
+    assert not work.P[:, n, n].any()
+
+
+@pytest.mark.parametrize("n", [2, 7, densela._BASIS_MIN_N - 1])
+def test_rpr_of_a_fixed_point_is_read_without_a_warning(rng, n):
+    # at exact eigenpairs of a constant flow q is 0 (a diagonal A) or
+    # roundoff; rpr is derived on this first read, outside run's
+    # error state, under the suite's "error" warning filter
+    diagonal = np.diag(np.arange(n, dtype=float))
+    for A in (diagonal, random_symmetric(rng, n)):
+        w, V = sym_eig_batch(A[None])
+        Z = np.hstack([V[0].T, w[0][:, None]])
+        qs = znn._rhs_batch(A, np.zeros((n, n)), Z, eta=4.5, mu=4.5)
+        rep = solve_bordered(A, Z, qs, densela.BasisWork(n))
+        assert not rep.lstsq.any()
+        assert ((0.0 < rep.rpr) & (rep.rpr <= 1.0)).all()
+        if A is diagonal:
+            assert not qs.any()
+            assert (rep.rpr == 1.0).all() and not rep.x.any()
 
 
 def test_solve_bordered_unsettled_after_the_last_sweep_is_dense(

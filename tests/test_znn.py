@@ -627,6 +627,26 @@ def test_run_restart_protocol():
     assert traj.residuals[k + cfg.s_star:].max() < 1e-3
 
 
+def test_run_samples_at_python_floats_of_the_grid():
+    # perfbench/worker.py tells a restart from a step by the restart's
+    # repeated sample of its first instant: the restart must keep it
+    pool = builtin_flows()
+    flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))
+    seen = []
+
+    def sampler(t):
+        seen.append(t)
+        return flow.sampler(t)
+    cfg = SolverConfig(preset="ifd5", tau=0.005, eta=4.5, tf=1.0)
+    traj = run(MatrixFlow(flow.n, sampler, span=flow.span), cfg)
+    k = int(round(0.5 / cfg.tau))
+    assert traj.kind[k] == "restart-triggered"
+    assert all(type(t) is float for t in seen)
+    want = cfg.times[[*range(k + 1), *range(k, len(cfg.times))]]
+    assert np.array_equal(np.array(seen).view(np.uint64),
+                          want.view(np.uint64))
+
+
 def test_run_events_are_derived_from_arrays():
     pool = builtin_flows()
     flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.5,)))

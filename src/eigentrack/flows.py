@@ -1,12 +1,13 @@
 """Time-varying symmetric matrix flows: definition, composition, sampling.
 
 A flow is a pure function of time returning a dense symmetric matrix.
-Samplers author the upper triangle and mirror it, so every sample equals
-its transpose exactly -- nothing is symmetrized after the fact.  The two
-bundled 7x7 benchmark flows (a smooth one and a jump-perturbed variant)
-drive most of the test scenarios; ``with_jumps`` splices them at chosen
-switch times and ``conjugate`` hides their sparsity behind a random
-orthogonal similarity without touching the spectrum.
+Every sample equals its transpose exactly: samplers build each entry of
+the upper triangle once and copy it below -- nothing is symmetrized after
+the fact.  The two bundled 7x7 benchmark flows (a smooth one and a
+jump-perturbed variant) combine 12 scalar functions of t with fixed
+coefficients and drive most of the test scenarios; ``with_jumps`` splices
+them at chosen switch times and ``conjugate`` hides their sparsity behind
+a random orthogonal similarity without touching the spectrum.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class OrthogonalRandomizer:
         seed.  The Gaussians come from the standard library's
         ``random.Random(seed)``: a run that needs no other randomness then
         never loads ``numpy.random``."""
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
             raise ValueError(
                 f"seed must be a non-negative integer, got {seed!r}")
         rng = random.Random(int(seed))
@@ -134,57 +136,70 @@ class OrthogonalRandomizer:
             raise ValueError(f"matrix is not orthogonal (deviation {dev:.2e})")
 
 
-def _a_s_upper(t: float) -> np.ndarray:
-    """Upper triangle of the smooth 7x7 benchmark flow."""
-    est, ect = math.exp(math.sin(t)), math.exp(math.cos(t))
-    M = np.zeros((7, 7))
-    M[0, 0] = math.sin(t) + 2.0
-    M[0, 1] = est
-    M[0, 3] = -est
-    M[0, 4] = 0.5
-    M[0, 5] = 1.0 + math.cos(t)
-    M[1, 1] = math.cos(t) - 2.0
-    M[1, 3] = 1.0
-    M[1, 4] = math.cos(2.0 * t)
-    M[1, 5] = 1.0
-    M[2, 2] = -0.12 * t * t + 2.4 * t - 7.0
-    M[3, 3] = 1.0 / (t + 1.0)
-    M[3, 4] = math.atan(t)
-    M[3, 5] = math.sin(2.0 * t)
-    M[4, 4] = 1.0
-    M[4, 5] = ect
-    M[5, 5] = 1.0 / (t + 2.0)
-    M[6, 6] = -0.15 * t * t + 3.0 * t - 6.0
-    return M
+def _phi(t: float) -> tuple:
+    """The 12 scalar functions of t the benchmark flows combine."""
+    s, c = math.sin(t), math.cos(t)
+    return (1.0, t, t * t, s, c, math.exp(s), math.exp(c), math.sin(2.0 * t),
+            math.cos(2.0 * t), 1.0 / (t + 1.0), 1.0 / (t + 2.0), math.atan(t))
 
 
-def _a_sj_upper(t: float) -> np.ndarray:
-    """Upper triangle of the jump-perturbed variant.
+# Upper-triangle entry (0-indexed) -> coefficients of _phi's functions,
+# named in _phi's order; omitted entries are 0.
+_PHI = ("1", "t", "t2", "sin", "cos", "esin", "ecos", "sin2", "cos2",
+        "inv1", "inv2", "atan")
+_A_S = {(0, 0): {"sin": 1, "1": 2}, (0, 1): {"esin": 1},
+        (0, 3): {"esin": -1}, (0, 4): {"1": 0.5}, (0, 5): {"1": 1, "cos": 1},
+        (1, 1): {"cos": 1, "1": -2}, (1, 3): {"1": 1}, (1, 4): {"cos2": 1},
+        (1, 5): {"1": 1}, (2, 2): {"t2": -0.12, "t": 2.4, "1": -7},
+        (3, 3): {"inv1": 1}, (3, 4): {"atan": 1}, (3, 5): {"sin2": 1},
+        (4, 4): {"1": 1}, (4, 5): {"ecos": 1}, (5, 5): {"inv2": 1},
+        (6, 6): {"t2": -0.15, "t": 3, "1": -6}}
+# The jump-perturbed variant differs at (1,5), (2,2), (3,3), (4,5), (4,6),
+# (5,5), (6,6), (7,7) and their mirror images (1-indexed).
+_A_SJ = {**_A_S, (0, 4): {}, (1, 1): {}, (2, 2): {"t": 1.3, "1": -15},
+         (3, 4): {"1": 1}, (3, 5): {"cos2": 2}, (4, 4): {"1": -3},
+         (5, 5): {"inv2": 6}, (6, 6): {"t": -1, "1": 14.05}}
 
-    Differs from the smooth flow at (1,5), (2,2), (3,3), (4,5), (4,6),
-    (5,5), (6,6), (7,7) and their mirror images (1-indexed).
-    """
-    M = _a_s_upper(t)
-    M[0, 4] = 0.0
-    M[1, 1] = 0.0
-    M[2, 2] = 1.3 * t - 15.0
-    M[3, 4] = 1.0
-    M[3, 5] = 2.0 * math.cos(2.0 * t)
-    M[4, 4] = -3.0
-    M[5, 5] = 6.0 / (t + 2.0)
-    M[6, 6] = 14.05 - t
-    return M
+
+@lru_cache(maxsize=None)
+def _sym_index(n: int) -> np.ndarray:
+    """(n, n) position of each entry in the row-major upper triangle."""
+    index = np.zeros((n, n), dtype=np.intp)
+    index[_upper_mask(n)] = np.arange(n * (n + 1) // 2)
+    index = _mirror_upper(index)
+    index.flags.writeable = False
+    return index
+
+
+class _LinearSampler:
+    """Samples ``A(t) = sum_j phi(t)[j] E_j``: the row phi(t) times the E_j's
+    upper triangles (``upper``, one row each), spread to n x n through a
+    fixed index, so every sample is exactly symmetric by construction."""
+
+    def __init__(self, phi: Callable[[float], tuple], upper: np.ndarray,
+                 n: int):
+        self.phi, self.upper, self.index = phi, upper, _sym_index(n)
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.dot(self.phi(t), self.upper).take(self.index)
+
+    def conjugated(self, U: np.ndarray) -> "_LinearSampler":
+        """The sampler of U^T A(t) U: each E_j conjugated once, here."""
+        E = U.T @ self.upper.take(self.index, axis=1) @ U
+        return _LinearSampler(self.phi, E[:, _upper_mask(len(U))], len(U))
 
 
 def builtin_flows():
     """The two bundled 7x7 benchmark flows, keyed "A_s" and "A_sj"."""
-    span = (-0.99, math.inf)   # keeps clear of the 1/(t+1) pole
-    return {
-        "A_s": MatrixFlow(7, lambda t: _mirror_upper(_a_s_upper(t)),
-                          label="A_s", span=span),
-        "A_sj": MatrixFlow(7, lambda t: _mirror_upper(_a_sj_upper(t)),
-                           label="A_sj", span=span),
-    }
+    pool = {}
+    for label, table in (("A_s", _A_S), ("A_sj", _A_SJ)):
+        upper = np.zeros((len(_PHI), 28))
+        for (i, j), coeffs in table.items():
+            for name, c in coeffs.items():
+                upper[_PHI.index(name), _sym_index(7)[i, j]] = c
+        pool[label] = MatrixFlow(7, _LinearSampler(_phi, upper, 7), label,
+                                 span=(-0.99, math.inf))   # 1/(t+1) pole
+    return pool
 
 
 def conjugate(flow: MatrixFlow, rand: OrthogonalRandomizer) -> MatrixFlow:
@@ -192,15 +207,20 @@ def conjugate(flow: MatrixFlow, rand: OrthogonalRandomizer) -> MatrixFlow:
 
     Samples become U^T A(t) U: dense, but with the spectrum of A(t).  The
     product's upper triangle is authored and mirrored so the output stays
-    exactly symmetric despite floating-point evaluation order.
+    exactly symmetric despite floating-point evaluation order.  A flow
+    built from fixed matrices (the builtin ones) has each matrix
+    conjugated once, here, instead.
     """
     U = rand.U
     if U.shape[0] != flow.n:
         raise ValueError(
             f"randomizer dimension {U.shape[0]} != flow dimension {flow.n}")
 
-    def sampler(t: float) -> np.ndarray:
-        return _mirror_upper(U.T @ flow.sampler(t) @ U)
+    if isinstance(flow.sampler, _LinearSampler):
+        sampler = flow.sampler.conjugated(U)
+    else:
+        def sampler(t: float) -> np.ndarray:
+            return _mirror_upper(U.T @ flow.sampler(t) @ U)
 
     return MatrixFlow(flow.n, sampler, label=f"{flow.label}~seed{rand.seed}",
                       span=flow.span)
@@ -367,6 +387,8 @@ def write_flow_file(path, flow: MatrixFlow, t0: float, tau: float,
         raise ValueError(f"t0={t0} is not finite")
     if not 0 < tau < math.inf:
         raise ValueError(f"sampling gap tau={tau} is not positive and finite")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count={count!r} is not an integer")
     if count < 1:
         raise ValueError("need at least one sample")
     n = flow.n

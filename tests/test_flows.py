@@ -73,6 +73,88 @@ def test_jump_variant_deltas(pool, t):
                 assert B[i, j] == A[i, j], (i, j)
 
 
+def _entry_formulas(name, t):
+    """The benchmark flows written entry by entry: the oracle for the
+    coefficient-table samplers."""
+    est, ect = math.exp(math.sin(t)), math.exp(math.cos(t))
+    M = np.zeros((7, 7))
+    M[0, 0], M[0, 1], M[0, 3] = math.sin(t) + 2.0, est, -est
+    M[0, 4], M[0, 5] = 0.5, 1.0 + math.cos(t)
+    M[1, 1], M[1, 3], M[1, 4], M[1, 5] = (math.cos(t) - 2.0, 1.0,
+                                          math.cos(2.0 * t), 1.0)
+    M[2, 2] = -0.12 * t * t + 2.4 * t - 7.0
+    M[3, 3], M[3, 4], M[3, 5] = (1.0 / (t + 1.0), math.atan(t),
+                                 math.sin(2.0 * t))
+    M[4, 4], M[4, 5], M[5, 5] = 1.0, ect, 1.0 / (t + 2.0)
+    M[6, 6] = -0.15 * t * t + 3.0 * t - 6.0
+    if name == "A_sj":
+        M[0, 4] = M[1, 1] = 0.0
+        M[2, 2], M[3, 4], M[3, 5] = 1.3 * t - 15.0, 1.0, 2.0 * math.cos(2 * t)
+        M[4, 4], M[5, 5], M[6, 6] = -3.0, 6.0 / (t + 2.0), 14.05 - t
+    return flows._mirror_upper(M)
+
+
+# 50 instants across the span, and both sides of the default jumps
+_INSTANTS = sorted({*np.linspace(-0.95, 25.0, 44).tolist(),
+                    7.995, 8.0, 8.005, 14.495, 14.5, 14.505})
+
+
+@pytest.mark.parametrize("seed", [None, 7, 123])
+def test_table_flows_match_the_entry_formulas(pool, seed):
+    # within 16 ulps of the sample's norm (about 8 seen) of the entry
+    # formulas and, conjugated, of U^T A U mirrored; exactly symmetric
+    rand = None if seed is None else OrthogonalRandomizer.from_seed(7, seed)
+    jumps = JumpSchedule((8.0, 14.5))
+    variants = {name: flow if rand is None else conjugate(flow, rand)
+                for name, flow in pool.items()}
+    jumped = with_jumps(variants["A_s"], variants["A_sj"], jumps)
+    # conjugation keeps the table form: U^T E_j U is taken once, up front
+    assert all(isinstance(flow.sampler, flows._LinearSampler)
+               for flow in variants.values())
+    assert len(_INSTANTS) >= 50
+    for t in _INSTANTS:
+        for name, flow in variants.items():
+            A = _entry_formulas(name, t)
+            if rand is not None:
+                A = flows._mirror_upper(rand.U.T @ A @ rand.U)
+            B = flow.sample(t)
+            assert np.array_equal(B, B.T), (name, t)
+            tol = 16 * np.finfo(float).eps * np.linalg.norm(A)
+            assert np.abs(B - A).max() <= tol, (name, t)
+        active = "A_sj" if 8.0 <= t < 14.5 else "A_s"
+        assert np.array_equal(jumped.sample(t), variants[active].sample(t))
+
+
+def test_conjugate_without_a_basis_keeps_the_generic_product(tmp_path,
+                                                             separated_flow):
+    # a plain flow and a file flow: U^T A U with its upper triangle
+    # mirrored, bit for bit
+    rand = OrthogonalRandomizer.from_seed(5, 3)
+    plain = separated_flow(5, 1)
+    path = tmp_path / "plain.flow"
+    write_flow_file(path, plain, t0=0.0, tau=0.5, count=9)
+    for flow in (plain, flow_from_file(path)):
+        turned = conjugate(flow, rand)
+        for k in range(9):
+            expected = flows._mirror_upper(rand.U.T @ flow.sample(0.5 * k)
+                                           @ rand.U)
+            assert np.array_equal(turned.sample(0.5 * k).view(np.uint64),
+                                  expected.view(np.uint64))
+
+
+def test_conjugate_follows_a_replaced_sampler():
+    # a builtin flow whose sampler was swapped is conjugated through the
+    # new sampler, not through the table it was built from
+    rand = OrthogonalRandomizer.from_seed(7, 7)
+    flow = builtin_flows()["A_s"]
+    table = flow.sampler
+    flow.sampler = lambda t: 2.0 * table(t)
+    turned = conjugate(flow, rand)
+    for t in (0.0, 3.5, 9.0):
+        expected = flows._mirror_upper(rand.U.T @ (2.0 * table(t)) @ rand.U)
+        assert np.array_equal(turned.sample(t), expected)
+
+
 def test_span_is_enforced(pool):
     with pytest.raises(SpanError):
         pool["A_s"].sample(-1.0)   # 1/(t+1) pole
@@ -99,7 +181,8 @@ def test_randomizer_determinism():
     assert np.linalg.norm(U1.T @ U1 - np.eye(7)) < 1e-12
 
 
-@pytest.mark.parametrize("seed", [-5, -1, 1.5, 2.0, "7", None])
+@pytest.mark.parametrize("seed", [-5, -1, 1.5, 2.0, "7", None, True, False,
+                                  np.bool_(True)])
 def test_randomizer_rejects_a_bad_seed(seed):
     # random.Random(-5) would quietly reuse seed 5's basis
     with pytest.raises(ValueError, match="seed must be a non-negative"):
@@ -300,6 +383,23 @@ def test_write_flow_file_rejects_a_bad_grid_before_opening(tmp_path, t0, tau,
         write_flow_file(path, constant_flow(np.eye(2)), t0=t0, tau=tau,
                         count=3)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, 3.0, "3", None])
+def test_write_flow_file_rejects_a_non_integer_count(tmp_path, count):
+    # count=True used to write one sample, count=2.5 to fail mid-file
+    path = tmp_path / "count.flow"
+    with pytest.raises(ValueError, match=r"^count=.* is not an integer"):
+        write_flow_file(path, constant_flow(np.eye(2)), t0=0.0, tau=0.01,
+                        count=count)
+    assert not path.exists()
+
+
+def test_write_flow_file_takes_a_numpy_integer_count(tmp_path):
+    path = tmp_path / "count.flow"
+    write_flow_file(path, diag_linear_flow(), t0=0.0, tau=0.5,
+                    count=np.int64(3))
+    assert flow_from_file(path).span == (0.0, 1.0)
 
 
 def test_flow_file_samples_are_bit_exact(tmp_path, separated_flow):

@@ -244,6 +244,14 @@ def test_steady_windows_are_maximal_spans_covering_the_exclusions(
     assert np.array_equal(covered == 1, ~mask)
 
 
+def test_paper_report_matches_logged_residuals(paper_run):
+    # the report samples the conjugated jump flow one instant at a time,
+    # through the sampler the run used, so every residual has its bits
+    traj, report, _ = paper_run
+    assert np.array_equal(report.residuals.view(np.uint64),
+                          traj.residuals.view(np.uint64))
+
+
 def test_build_report_matches_logged_residuals(short_run):
     flow, traj = short_run
     rep = build_report(flow, traj, elapsed=1.0)

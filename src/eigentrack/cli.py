@@ -61,21 +61,12 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_jumps(text: str):
-    text = text.strip()
-    if not text:
-        return None
+def _parse_numbers(text: str, name: str) -> List[float]:
+    """A comma-separated list of numbers; an empty item is an error."""
     try:
         return [float(p) for p in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse jump list {text!r}") from exc
-
-
-def _parse_taus(text: str) -> List[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse taus list {text!r}") from exc
+        raise ConfigError(f"cannot parse {name} list {text!r}") from exc
 
 
 def _merge_config(args) -> dict:
@@ -105,8 +96,9 @@ def _merge_config(args) -> dict:
             given[key] = getattr(args, key)
     if args.seed is not None:
         given["randomize_seed"] = args.seed
-    if args.jumps is not None:
-        given["jumps"] = _parse_jumps(args.jumps)
+    if args.jumps is not None:      # an empty --jumps means no jumps
+        given["jumps"] = (_parse_numbers(args.jumps, "jumps")
+                          if args.jumps.strip() else None)
     cfg = {**_DEFAULTS, **given}
     _validate_config(cfg)
     if args.command == "converge":
@@ -131,8 +123,9 @@ def _is_number(v) -> bool:
 
 def _validate_config(cfg: dict) -> None:
     """The keys that are not run parameters: flow, metric, seed and the
-    jump list's JSON type.  The run parameters are SolverConfig's to
-    check, and the jump times JumpSchedule's."""
+    jump list's JSON type, and that a seed or jumps suit the flow.  The
+    run parameters are SolverConfig's to check, and the jump times
+    JumpSchedule's."""
     flow = cfg["flow"]
     if not isinstance(flow, str) or not flow:
         raise ConfigError("flow must be a builtin name or a file path")
@@ -142,6 +135,9 @@ def _validate_config(cfg: dict) -> None:
     if seed is not None and (not isinstance(seed, int)
                              or isinstance(seed, bool)):
         raise ConfigError("randomize_seed must be an integer or null")
+    if seed is not None and flow != "paper":
+        raise ConfigError(f"randomize_seed only applies to the conjugated "
+                          f"'paper' flow, not {flow!r}")
     jumps = cfg["jumps"]
     if jumps is not None:
         if (not isinstance(jumps, (list, tuple))
@@ -474,7 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_run(cfg, solver)
         if args.command == "baseline":
             return cmd_baseline(cfg, solver)
-        return cmd_converge(cfg, solver, _parse_taus(args.taus))
+        return cmd_converge(cfg, solver, _parse_numbers(args.taus, "taus"))
     except (ConfigError, ValueError) as exc:   # SpanError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

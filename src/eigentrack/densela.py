@@ -12,11 +12,12 @@ batch result equals the single-matrix one bit for bit.
 n = 16 it solves them together in the tracked eigenbasis, with a few
 matrix products instead of n dense factorizations, and hands the pairs
 it cannot settle there to the dense route.  Below that it writes the
-bordered stack into work arrays the caller keeps (``BasisWork``) and
-solves it with one LAPACK call.  Both routes and ``solve_batch`` share
-one near-singular rule, on squared norms, and leave each system's
-conditioning indicator to be derived when it is read.  ``residual``
-scores approximate eigenpairs against a matrix.
+bordered stack (``_BorderedStack``, its one writer) into work arrays the
+caller keeps (``BasisWork``) and solves it with one LAPACK call.  Both
+routes and ``solve_batch`` share one near-singular rule, on squared
+norms, and leave each system's conditioning indicator to be derived
+when it is read.  ``residual`` scores eigenpairs against a stack of
+matrices; a single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -138,42 +139,40 @@ def fro_norms(M) -> np.ndarray:
 def residual(A, z, metric: str = "pair"):
     """Relative eigen-equation defect of stacked vectors against A.
 
-    ``z`` may be a single stacked vector (n+1,) or a block (n, n+1) with
-    one row per pair.  With ``metric="pair"`` the result is
-    ||A x - lambda x||_2 / ||A||_F per pair; ``metric="matrix"`` collapses
-    the block to ||A V - V D||_F / (||A||_F ||V||_F).  A stack of
-    matrices (B, n, n) with a stack of blocks (B, n, n+1) scores B
-    instants at once: (B, n) per-pair values, or (B,) for ``"matrix"``.
-    A stack runs the same expressions over its leading axis, member by
-    member, so the predictor's per-instant log and the harness's block
-    recomputation agree bit for bit.
+    A stack of matrices (B, n, n) with a stack of blocks (B, n, n+1), a
+    row [x; lambda] per pair, gives ||A x - lambda x||_2 / ||A||_F per
+    pair, (B, n), with ``metric="pair"``; ``"matrix"`` collapses each
+    block to ||A V - V D||_F / (||A||_F ||V||_F), (B,).  A matrix (n, n)
+    with a block (n, n+1) or a vector (n+1,) is scored as a stack of one
+    and keeps the input's shape: (n,) per pair, else a float.  A member's
+    bits do not depend on the rest of the stack.
     """
     A = np.asarray(A, dtype=float)
     z = np.asarray(z, dtype=float)
     n = A.shape[-1]
     if z.shape[-1] != n + 1:
         raise ValueError(f"stacked vectors must have {n + 1} entries")
-    stacked = (A.ndim == 3)
-    Zb = z[None, :] if z.ndim == 1 else z
-    X = Zb[..., :n]
+    if A.ndim == 2 and z.ndim <= 2:
+        out = residual(A[None], z.reshape(1, -1, n + 1), metric)
+        if metric == "pair" and z.ndim == 2:
+            return out[0]
+        return float(out.ravel()[0])
+    if A.ndim != 3 or z.ndim != 3 or len(z) != len(A):
+        raise ValueError(f"cannot score pairs {z.shape} against {A.shape}")
+    X = z[..., :n]
     R = X @ A.swapaxes(-1, -2)
-    R -= Zb[..., n, None] * X
-    if stacked:
-        a_nrm = fro_norms(A)[:, None]
-        a_nrm[a_nrm == 0.0] = 1.0
-    else:
-        a_nrm = fro_norm(A) or 1.0
+    R -= z[..., n, None] * X
+    a_nrm = fro_norms(A)[:, None]
+    a_nrm[a_nrm == 0.0] = 1.0
     if metric == "pair":
         R *= R
         out = np.sqrt(np.add.reduce(R, axis=-1))
         out /= a_nrm
-        return float(out[0]) if z.ndim == 1 else out
+        return out
     if metric == "matrix":
         v_nrm = np.sqrt((X * X).sum(axis=(-2, -1)))
-        out = np.sqrt((R * R).sum(axis=(-2, -1)))
-        if not stacked:
-            return float(out / (a_nrm * (v_nrm or 1.0)))
         v_nrm[v_nrm == 0.0] = 1.0
+        out = np.sqrt((R * R).sum(axis=(-2, -1)))
         return out / (a_nrm[:, 0] * v_nrm)
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -299,21 +298,33 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
     return _solve_stack(Ps, qs)
 
 
-def bordered_stack(A, Z):
-    """The bordered matrices of stacked pairs, (B, n+1, n+1).
-
-    Row i of Z is pair i's [x; lambda]; member i is
-    [[A - lambda_i I, -x_i], [-x_i^T, 0]].
+class _BorderedStack:
+    """A zeroed (B, n+1, n+1) stack; ``write(A, Z)`` makes member i
+    [[A - lambda_i I, -x_i], [-x_i^T, 0]] for row i of Z = [x_i; lambda_i]
+    and returns it, leaving the border corners 0.  The views are made
+    once: per-call slicing made an n = 7 write a third slower (4.1
+    against 3.0 us on the 2-core Xeon of ``_BASIS_MIN_N``'s note).
     """
-    n = A.shape[0]
-    B = len(Z)
-    Ps = np.zeros((B, n + 1, n + 1))
-    Ps[:, :n, :n] = A
-    # the block's diagonal as a strided view of the contiguous stack
-    Ps.reshape(B, -1)[:, :n * (n + 2):n + 2] -= Z[:, n][:, None]
-    np.negative(Z[:, :n], out=Ps[:, :n, n])
-    Ps[:, n, :n] = Ps[:, :n, n]
-    return Ps
+
+    def __init__(self, B: int, n: int):
+        self.n = n
+        self.P = np.zeros((B, n + 1, n + 1))
+        self.A = self.P[:, :n, :n]
+        self.ii = self.P.reshape(B, (n + 1) ** 2)[:, :n * (n + 2):n + 2]
+        self.col = self.P[:, :n, n]
+        self.row = self.P[:, n, :n]
+
+    def write(self, A, Z):
+        self.A[...] = A
+        self.ii -= Z[:, self.n, None]
+        np.negative(Z[:, :self.n], out=self.col)
+        np.copyto(self.row, self.col)
+        return self.P
+
+
+def bordered_stack(A, Z):
+    """The bordered matrices of stacked pairs Z, a new (B, n+1, n+1)."""
+    return _BorderedStack(len(Z), A.shape[0]).write(A, Z)
 
 
 # Below this many pairs every system takes the dense route, whose
@@ -337,27 +348,20 @@ class BasisWork:
 
     A caller that solves one instant after another at the same n, as
     ``Tracker`` does, keeps one and allocates only the returned report
-    per call.  From ``_BASIS_MIN_N`` pairs they are the basis route's
-    contiguous (n, n) blocks and (n,) vectors, into which each of its
-    passes writes.  Below it they are the dense route's (n, n+1, n+1)
-    bordered stack, whose blocks and borders each call rewrites in place
-    (the border corners stay 0), and an (n, n+1) right-hand side ``q``
-    for the caller to fill; ``q`` is None from ``_BASIS_MIN_N``.  No
-    value carries over from one call to the next.
+    per call.  Every n has an (n, n+1) right-hand side ``q`` for the
+    caller to fill.  From ``_BASIS_MIN_N`` pairs the others are the basis
+    route's contiguous (n, n) blocks and (n,) vectors, into which each of
+    its passes writes; below it, the dense route's bordered stack
+    (``stack``, a ``_BorderedStack``), which each call rewrites.  No value
+    carries over from one call to the next.
     """
 
     def __init__(self, n: int):
         self.n = n
+        self.q = np.empty((n, n + 1))
         if n < _BASIS_MIN_N:
-            self.P = np.zeros((n, n + 1, n + 1))
-            # writable views: the A blocks, their diagonals, the borders
-            self.P_A = self.P[:, :n, :n]
-            self.P_ii = self.P.reshape(n, -1)[:, :n * (n + 2):n + 2]
-            self.P_col = self.P[:, :n, n]
-            self.P_row = self.P[:, n, :n]
-            self.q = np.empty((n, n + 1))
+            self.stack = _BorderedStack(n, n)
             return
-        self.q = None
         (self.M, self.G, self.E, self.b, self.H, self.W, self.PM, self.PG,
          self.T, self.T_prev) = np.empty((10, n, n))
         # writable views of the diagonals
@@ -370,15 +374,6 @@ class BasisWork:
         self.S = np.empty((n, n + 1))
         self.ones = np.ones(n + 1)
 
-    def bordered(self, A, Z):
-        """``bordered_stack(A, Z)``, written into the dense route's stack."""
-        n = self.n
-        self.P_A[...] = A
-        self.P_ii -= Z[:, n, None]
-        np.negative(Z[:, :n], out=self.P_col)
-        np.copyto(self.P_row, self.P_col)
-        return self.P
-
 
 def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
                    ) -> BatchSolveReport:
@@ -386,11 +381,12 @@ def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
 
     System i is [[A - lambda_i I, -x_i], [-x_i^T, 0]] y = qs[i], with row
     i of Z = [x_i; lambda_i]; returns the same report as solve_batch on
-    ``bordered_stack(A, Z)``, with the same ``lstsq`` and ``rpr``.
+    ``bordered_stack(A, Z)``, with the same ``lstsq`` and ``rpr``.  Z and
+    qs hold exactly the n pairs of the n x n matrix A, (n, n+1) each; any
+    other shape raises MatrixShapeError.
 
-    With n pairs of an n x n matrix (n at least ``_BASIS_MIN_N``), the
-    congruence diag(X, 1) P_i diag(X^T, 1), u = X^T c, turns system i
-    into
+    From ``_BASIS_MIN_N`` pairs the congruence diag(X, 1) P_i
+    diag(X^T, 1), u = X^T c, turns system i into
 
         (M - lambda_i G) c - G[:, i] nu = X r_i,   -G[i, :] c = s_i,
 
@@ -407,7 +403,7 @@ def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
     or when its amplification ratio ||q_i|| / (||P_i||_F ||y_i||) is
     below 1e-12.  All pairs go there when ||X X^T - I||_F exceeds 1/2.
     Pairs solved in the basis count as direct.  Below ``_BASIS_MIN_N``
-    every pair takes the dense route, on the work arrays' bordered stack.
+    every pair takes the dense route, one LAPACK call on the work arrays.
 
     Either route works in ``work``, a ``BasisWork(n)``, or in one of its
     own when none is given.  The returned arrays are new.
@@ -416,17 +412,15 @@ def solve_bordered(A, Z, qs, work: Optional[BasisWork] = None
     Z = np.asarray(Z, dtype=float)
     qs = np.asarray(qs, dtype=float)
     n = A.shape[0]
-    B = len(Z)
-    if A.shape != (n, n) or Z.shape != (B, n + 1) or qs.shape != (B, n + 1):
+    if A.shape != (n, n) or Z.shape != (n, n + 1) or qs.shape != (n, n + 1):
         raise MatrixShapeError(
-            f"bad shapes {A.shape}, {Z.shape}, {qs.shape}")
-    if B != n:
-        return solve_batch(bordered_stack(A, Z), qs)
+            f"expected the {n} pairs of a {n} x {n} matrix, (n, n+1) each; "
+            f"got shapes {A.shape}, {Z.shape}, {qs.shape}")
     w = BasisWork(n) if work is None else work
     if w.n != n:
         raise MatrixShapeError(f"work arrays for n = {w.n}, not {n}")
     if n < _BASIS_MIN_N:
-        return _solve_stack(w.bordered(A, Z), qs)
+        return _solve_stack(w.stack.write(A, Z), qs)
 
     # row sums are products with ones: one BLAS call each, cheaper
     # than add.reduce along the rows

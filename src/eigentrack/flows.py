@@ -250,7 +250,16 @@ def with_jumps(base: MatrixFlow, alt: MatrixFlow,
 
 
 def constant_flow(M, label: str = "constant") -> MatrixFlow:
+    """The flow that is M at every t.  M must be square, finite and
+    symmetric to the flow-file tolerance; its upper triangle is kept."""
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"constant_flow needs a square matrix, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("constant_flow: the matrix has a non-finite entry")
+    if np.abs(M - M.T).max(initial=0.0) > _ASYM_TOL:
+        raise ValueError("constant_flow: the matrix is asymmetric, "
+                         f"max |M - M^T| > {_ASYM_TOL:g}")
     M = _mirror_upper(M)
     return MatrixFlow(M.shape[0], lambda t: M.copy(), label=label)
 
@@ -265,6 +274,7 @@ def diag_linear_flow() -> MatrixFlow:
 
 
 _GRID_REL_TOL = 1e-9
+_ASYM_TOL = 1e-12      # max |M - M^T| of a flow file or constant_flow
 _SPACES = bytes.maketrans(b",", b" ")
 
 
@@ -352,7 +362,7 @@ def flow_from_file(path) -> MatrixFlow:
     k_bad = count if finite.all() else int(np.argmin(finite))
     gap = data[:k_bad] - data[:k_bad].transpose(0, 2, 1)
     np.abs(gap, out=gap)
-    asym = np.flatnonzero(gap.max(axis=(1, 2)) > 1e-12)
+    asym = np.flatnonzero(gap.max(axis=(1, 2)) > _ASYM_TOL)
     del gap
     if asym.size:
         raise FlowFileError(

@@ -186,17 +186,13 @@ def complete_recursion(a: Sequence, name: str = "custom") -> LookaheadRecursion:
 
     The derivative weight is not a free choice: first-order consistency
     forces ``c = 1 + sum_j j*a_j``.  The truncation order is then derived
-    symbolically from the completed rule.
+    symbolically from the completed rule, whose own checks reject state
+    weights that do not sum to 1.
     """
     a = tuple(Fraction(x) for x in a)
-    if sum(a) != 1:
-        raise FormulaError("state weights must sum to 1 exactly")
     c = 1 + sum(j * aj for j, aj in enumerate(a))
-    order = _recursion_order(c, a)
-    if order < 2:
-        raise FormulaError("completed rule is not even first-order exact")
-    return LookaheadRecursion(name=name, c=c, a=a, order=order,
-                              reconstructed=True)
+    return LookaheadRecursion(name=name, c=c, a=a,
+                              order=_recursion_order(c, a), reconstructed=True)
 
 
 def truncation_order(rule: Union[BackwardFormula, LookaheadRecursion]) -> int:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densela import fro_norm, fro_norms, residual
+from .densela import fro_norms, residual
 from .flows import MatrixFlow
 from .znn import (_PREDICTED, _RESTART, SolverConfig, Trajectory,
                   _static_blocks, run)
@@ -52,18 +52,17 @@ def _check_metric(metric) -> None:
 def orth_deviation(block):
     """||V^T V - I||_F for the eigenvector set in a stacked block.
 
-    Accepts either a (n, n+1) block of stacked vectors (the trailing
-    eigenvalue column is dropped) or a plain (n, n) matrix whose rows are
-    the vectors; a stack of (n, n+1) blocks gives one value per block,
-    each equal to the single-block value bit for bit.
+    A stack of (B, n, n+1) blocks (the trailing eigenvalue column is
+    dropped) gives (B,) values.  A single block, or a plain (n, n) matrix
+    whose rows are the vectors, is scored as a stack of one: a float.
     """
     block = np.asarray(block, dtype=float)
+    if block.ndim == 2:
+        return float(orth_deviation(block[None])[0])
     n = block.shape[-2]
     X = block[..., :n]
     G = X @ np.swapaxes(X, -1, -2)
     G -= np.eye(n)
-    if G.ndim == 2:
-        return float(fro_norm(G))
     return fro_norms(G)
 
 

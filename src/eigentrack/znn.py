@@ -304,8 +304,7 @@ class Tracker:
     sample.  Each prediction is a new array.  The tracker owns the work
     arrays of ``solve_bordered`` (a ``densela.BasisWork``), allocated on
     construction; ``densela`` alone decides which arrays an n needs.
-    Below the basis route's switch they include the right-hand side,
-    which ``predict`` writes in place.
+    ``predict`` writes the right-hand side into them in place.
     """
 
     def __init__(self, config: SolverConfig, n: int):
@@ -349,8 +348,13 @@ class Tracker:
 
         Returns the matched static blocks, (m, n, n+1), and the
         derivative norm at each instant, NaN until the window fills.
-        Raises ``numpy.linalg.LinAlgError`` when the eigensolver fails.
+        Raises ValueError when the samples are not (m, n, n) and
+        ``numpy.linalg.LinAlgError`` when the eigensolver fails.
         """
+        n, shape = self._shape[0], np.shape(samples)
+        if len(shape) != 3 or shape[1:] != (n, n):
+            raise ValueError(f"the tracker takes {n} x {n} samples (n = {n}), "
+                             f"got a stack of shape {shape}")
         blocks = _static_blocks(samples)
         norms = np.full(len(blocks), np.nan)
         m = min(len(samples), self.taps)

@@ -252,6 +252,8 @@ def test_run_abort_at_first_instant(tmp_path, capsys, monkeypatch):
     ("baseline", "--tau", "nan"),
     ("run", "--jumps", "nan"),
     ("converge", "--taus", "0.01,abc,0.005"),
+    ("converge", "--taus", "0.01,,0.005,0.0025"),
+    ("run", "--flow", "diag-linear", "--seed", "3"),
 ])
 def test_config_errors_exit_2(argv, tmp_path, capsys):
     rc = run_cli(*argv, "--output", str(tmp_path) + "/")

@@ -316,6 +316,8 @@ def test_solve_bordered_below_switch_is_the_dense_route(rng, n):
     assert np.array_equal(rep.x, want.x)
     assert np.array_equal(rep.rpr, want.rpr)
     assert np.array_equal(rep.lstsq, want.lstsq)
+    with pytest.raises(MatrixShapeError):       # fewer pairs than n
+        solve_bordered(A, Z[:-1], qs[:-1])
 
 
 def test_solve_bordered_far_from_orthonormal_is_the_dense_route(
@@ -398,6 +400,13 @@ def test_a_zero_rhs_is_direct_with_rpr_one_on_both_routes(dense_calls, n):
     assert (rep.rpr < 1.0).sum() == n - 1
 
 
+def _work_arrays(work):
+    """Every array a BasisWork holds, its bordered stack's included."""
+    stack = vars(work.stack) if hasattr(work, "stack") else {}
+    return [buf for buf in (*vars(work).values(), *stack.values())
+            if isinstance(buf, np.ndarray)]
+
+
 def _dense_route_states(rng, n):
     """States of the dense route at n pairs: random, a q = 0 row, an
     exactly colliding pair (a singular stack: per-system solves, then
@@ -437,10 +446,9 @@ def test_dense_route_in_work_arrays_equals_a_fresh_stack(rng, n):
         for arr in (rep.x, rep.lstsq, rep.q2, rep.P2, rep.x2, rep.rpr,
                     rep.fallback_rpr):
             assert arr is None or not any(
-                np.shares_memory(arr, buf) for buf in vars(work).values()
-                if isinstance(buf, np.ndarray))
+                np.shares_memory(arr, buf) for buf in _work_arrays(work))
     # the border corners are never written
-    assert not work.P[:, n, n].any()
+    assert not work.stack.P[:, n, n].any()
 
 
 @pytest.mark.parametrize("n", [2, 7, densela._BASIS_MIN_N - 1])
@@ -503,10 +511,16 @@ def test_solve_bordered_work_arrays_carry_nothing_between_calls(rng):
     # the report is the caller's to keep: no array of it is a work array
     for arr in (again.x, again.lstsq, again.rpr):
         assert not any(np.shares_memory(arr, buf)
-                       for buf in vars(work).values()
-                       if isinstance(buf, np.ndarray))
+                       for buf in _work_arrays(work))
     with pytest.raises(MatrixShapeError):
         solve_bordered(A, Z, qs, densela.BasisWork(n + 1))
+    # exactly the n pairs of the n x n matrix, with or without work arrays
+    for m in (n - 1, n + 1):
+        with pytest.raises(MatrixShapeError):
+            solve_bordered(A, np.resize(Z, (m, n + 1)),
+                           np.resize(qs, (m, n + 1)))
+    with pytest.raises(MatrixShapeError):
+        solve_bordered(A, Z[:3], qs[:3], work)
 
 
 def test_solve_bordered_near_crossing(rng):

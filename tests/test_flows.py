@@ -243,6 +243,16 @@ def test_constant_and_diag_flows():
     assert np.array_equal(cf.sample(123.0), M)
     dl = diag_linear_flow()
     assert np.array_equal(dl.sample(0.5), np.diag([2.5, 5.0]))
+    # asymmetry within the flow-file tolerance keeps the upper triangle
+    near = M + np.array([[0.0, 0.0], [1e-13, 0.0]])
+    assert np.array_equal(constant_flow(near).sample(0.0), M)
+    for bad, fault in [([[1.0, 2.0], [3.0, 4.0]], "asymmetric"),
+                       (np.ones((2, 3)), "square"),
+                       (np.ones(3), "square"),
+                       ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+                       ([[1.0, np.inf], [np.inf, 1.0]], "non-finite")]:
+        with pytest.raises(ValueError, match=fault):
+            constant_flow(bad)
 
 
 # --------------------------------------------------------------- flow files

@@ -46,6 +46,13 @@ def test_residual_rejects_unknown_metric():
         residual(np.eye(2), np.array([1.0, 0.0, 1.0]), metric="spectral")
 
 
+def test_residual_rejects_pairs_of_another_shape():
+    A, Z = np.eye(2), np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    for a, z in ((A, Z[None]), (A[None], Z), (np.stack([A, A]), Z[None])):
+        with pytest.raises(ValueError, match="cannot score pairs"):
+            residual(a, z)
+
+
 def test_orth_deviation_values():
     block = np.concatenate([np.eye(3), np.ones((3, 1))], axis=1)
     assert orth_deviation(block) == 0.0
@@ -93,13 +100,27 @@ def test_stacked_scores_equal_the_per_instant_arithmetic(n, separated_flow):
         want = np.array([_orth_one_instant(Z[k]) for k in range(lo, hi)])
         got = orth_deviation(Z[lo:hi])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # the predictor's per-instant calls take the same arithmetic
+    # the predictor's per-instant calls take the same arithmetic, and
+    # a single block or vector has the bits of a stack of one
     for k in (0, 250):
         assert np.array_equal(residual(A[k], Z[k]),
                               _residual_one_instant(A[k], Z[k], "pair"))
         assert residual(A[k], Z[k], metric="matrix") == \
             _residual_one_instant(A[k], Z[k], "matrix")
         assert orth_deviation(Z[k]) == _orth_one_instant(Z[k])
+        for metric in ("pair", "matrix"):
+            for z in (Z[k], Z[k, 2]):            # a block, one vector
+                one = residual(A[k:k + 1], z.reshape(1, -1, n + 1),
+                               metric=metric)[0]
+                got = residual(A[k], z, metric=metric)
+                if metric == "pair" and z.ndim == 2:
+                    assert got.shape == (n,)
+                else:
+                    assert isinstance(got, float)
+                assert np.array_equal(np.ravel(got).view(np.uint64),
+                                      np.ravel(one).view(np.uint64))
+        assert _bits(orth_deviation(Z[k])) == _bits(
+            orth_deviation(Z[k:k + 1])[0])
 
 
 def _bits(x):

@@ -704,6 +704,13 @@ def test_run_rejects_span_overrun():
         run(flow, cfg)
 
 
+def test_run_rejects_a_sampler_of_the_wrong_size():
+    flow = MatrixFlow(3, lambda t: np.eye(4), label="wrong size")
+    with pytest.raises(ValueError, match=r"3 x 3 samples \(n = 3\), got a "
+                       r"stack of shape \(\d+, 4, 4\)"):
+        run(flow, SolverConfig(tau=0.01, eta=1.0, tf=1.0))
+
+
 # ------------------------------------------------------- blocked residual log
 
 def _assert_scored_alone(flow, traj):

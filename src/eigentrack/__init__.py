@@ -18,7 +18,7 @@ driver), `harness` (metrics, reports, baselines, sweeps), `g17` (the
 """
 
 from .densela import (AsymmetryError, LinearSolveReport, MatrixShapeError,
-                      fro_norm, solve_augmented, sym_eig_batch)
+                      fro_norm, residual, solve_augmented, sym_eig_batch)
 from .flows import (FlowFileError, InterpolationError, JumpSchedule,
                     MatrixFlow, OrthogonalRandomizer, SpanError,
                     builtin_flows, conjugate, constant_flow,
@@ -30,14 +30,14 @@ from .formulas import (BackwardFormula, FormulaError, LookaheadRecursion,
                        truncation_order)
 from .harness import (BaselineReport, RunReport, SweepReport, build_report,
                       convergence_sweep, naive_baseline, orth_deviation,
-                      residual, steady_mask, timed_run)
+                      steady_mask, timed_run)
 from .znn import KINDS, NumericalAbort, SolverConfig, Tracker, Trajectory, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetryError", "LinearSolveReport", "MatrixShapeError", "fro_norm",
-    "solve_augmented", "sym_eig_batch",
+    "residual", "solve_augmented", "sym_eig_batch",
     "FlowFileError", "InterpolationError", "JumpSchedule", "MatrixFlow",
     "OrthogonalRandomizer", "SpanError", "builtin_flows",
     "conjugate", "constant_flow", "diag_linear_flow", "flow_from_file",
@@ -46,7 +46,7 @@ __all__ = [
     "catalog", "check_zero_stability", "complete_recursion",
     "derivative_estimate", "truncation_order",
     "BaselineReport", "RunReport", "SweepReport", "build_report",
-    "convergence_sweep", "naive_baseline", "orth_deviation", "residual",
+    "convergence_sweep", "naive_baseline", "orth_deviation",
     "steady_mask", "timed_run",
     "KINDS", "NumericalAbort", "SolverConfig", "Tracker", "Trajectory", "run",
     "__version__",

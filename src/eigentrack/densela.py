@@ -16,8 +16,9 @@ bordered stack (``_BorderedStack``, its one writer) into work arrays the
 caller keeps (``BasisWork``) and solves it with one LAPACK call.  Both
 routes and ``solve_batch`` share one near-singular rule, on squared
 norms, and leave each system's conditioning indicator to be derived
-when it is read.  ``residual`` scores eigenpairs against a stack of
-matrices; a single matrix is a stack of one.
+when it is read.  ``residual``, the one residual kernel, scores each
+eigenpair of a stack (a single matrix is a stack of one); the
+full-matrix score is derived from its per-pair values in ``harness``.
 """
 
 from __future__ import annotations
@@ -136,15 +137,13 @@ def fro_norms(M) -> np.ndarray:
     return np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
 
 
-def residual(A, z, metric: str = "pair"):
-    """Relative eigen-equation defect of stacked vectors against A.
+def residual(A, z):
+    """Relative eigen-equation defect ||A x - lambda x||_2 / ||A||_F.
 
     A stack of matrices (B, n, n) with a stack of blocks (B, n, n+1), a
-    row [x; lambda] per pair, gives ||A x - lambda x||_2 / ||A||_F per
-    pair, (B, n), with ``metric="pair"``; ``"matrix"`` collapses each
-    block to ||A V - V D||_F / (||A||_F ||V||_F), (B,).  A matrix (n, n)
-    with a block (n, n+1) or a vector (n+1,) is scored as a stack of one
-    and keeps the input's shape: (n,) per pair, else a float.  A member's
+    row [x; lambda] per pair, gives (B, n).  A matrix (n, n) with a block
+    (n, n+1) or a vector (n+1,) is scored as a stack of one and keeps the
+    input's shape: (n,) for a block, a float for a vector.  A member's
     bits do not depend on the rest of the stack.
     """
     A = np.asarray(A, dtype=float)
@@ -153,10 +152,8 @@ def residual(A, z, metric: str = "pair"):
     if z.shape[-1] != n + 1:
         raise ValueError(f"stacked vectors must have {n + 1} entries")
     if A.ndim == 2 and z.ndim <= 2:
-        out = residual(A[None], z.reshape(1, -1, n + 1), metric)
-        if metric == "pair" and z.ndim == 2:
-            return out[0]
-        return float(out.ravel()[0])
+        out = residual(A[None], z.reshape(1, -1, n + 1))[0]
+        return out if z.ndim == 2 else float(out[0])
     if A.ndim != 3 or z.ndim != 3 or len(z) != len(A):
         raise ValueError(f"cannot score pairs {z.shape} against {A.shape}")
     X = z[..., :n]
@@ -164,17 +161,8 @@ def residual(A, z, metric: str = "pair"):
     R -= z[..., n, None] * X
     a_nrm = fro_norms(A)[:, None]
     a_nrm[a_nrm == 0.0] = 1.0
-    if metric == "pair":
-        R *= R
-        out = np.sqrt(np.add.reduce(R, axis=-1))
-        out /= a_nrm
-        return out
-    if metric == "matrix":
-        v_nrm = np.sqrt((X * X).sum(axis=(-2, -1)))
-        v_nrm[v_nrm == 0.0] = 1.0
-        out = np.sqrt((R * R).sum(axis=(-2, -1)))
-        return out / (a_nrm[:, 0] * v_nrm)
-    raise ValueError(f"unknown metric {metric!r}")
+    R *= R
+    return np.sqrt(np.add.reduce(R, axis=-1)) / a_nrm
 
 
 _ASYM_REL = 1e-12
@@ -220,13 +208,19 @@ def solve_augmented(P, q) -> LinearSolveReport:
     picks the minimum-norm solution, which keeps the predictor finite
     through exact eigenvalue collisions.  No zero row is appended, the
     name notwithstanding: one would leave the singular values and right
-    singular vectors of P, and so the solution, unchanged.
+    singular vectors of P, and so the solution, unchanged.  A NaN or
+    infinite entry raises ``numpy.linalg.LinAlgError`` naming P or q:
+    LAPACK's driver can spin on such a P and returns NaN for such a q.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
     m = P.shape[0]
     if P.shape != (m, m) or q.shape != (m,):
         raise MatrixShapeError(f"bad shapes {P.shape}, {q.shape}")
+    for name, M in (("P", P), ("q", q)):
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError(
+                f"least-squares system with a non-finite entry in {name}")
     x, _, _, sv = np.linalg.lstsq(P, q, rcond=None)
     rpr = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0 else 0.0
     return LinearSolveReport(x=x, method="least-squares", rpr=rpr)

@@ -2,7 +2,8 @@
 
 Everything here recomputes its numbers from flow samples and trajectory
 data, independent of the diagnostics the solver logged along the way, so
-a report doubles as a cross-check of the run itself.
+a report doubles as a cross-check of the run itself.  The per-pair
+scores come from ``densela.residual``; full-matrix ones derive from them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .znn import (_PREDICTED, _RESTART, SolverConfig, Trajectory,
                   _static_blocks, run)
 
 __all__ = [
-    "residual",
     "orth_deviation",
     "steady_mask",
     "RunReport",
@@ -45,8 +45,19 @@ _BLOCK = 128
 
 
 def _check_metric(metric) -> None:
-    if metric not in ("pair", "matrix"):      # densela.residual's metrics
+    # the one check of the metric word; "matrix" scores are _full_matrix's
+    if metric not in ("pair", "matrix"):
         raise ValueError(f"metric must be 'pair' or 'matrix', got {metric!r}")
+
+
+def _full_matrix(res, Z):
+    """Per instant, the paper's ||A V - V D||_F / (||A||_F ||V||_F) from
+    the per-pair residuals res (B, n) of blocks Z: E's columns are the
+    e_i, so it is sqrt(sum_i r_i^2) / ||V||_F, with ||V||_F = 0 as 1."""
+    X = Z[..., :res.shape[-1]]
+    v_nrm = np.sqrt((X * X).sum(axis=(-2, -1)))
+    v_nrm[v_nrm == 0.0] = 1.0
+    return np.sqrt((res * res).sum(axis=-1)) / v_nrm
 
 
 def orth_deviation(block):
@@ -162,13 +173,14 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     Residuals and orthogonality deviations are recomputed here rather
     than trusted from the run log; summaries are taken over the steady
     mask, per segment (segments are delimited by restarts) and overall,
-    all in the chosen metric.  The steady mask is always built from the
-    per-pair residuals.  The summary also holds whole-run maxima over
-    every predicted instant (``run_max_residual``,
-    ``run_max_orth_deviation`` and ``run_max_norm_defect``, the worst
-    ``|x^T x - 1|``) and how many predicted instants the steady mask
-    excluded, so a run that diverges inside an excluded window still
-    shows it.
+    all in the chosen metric.  Each block of instants gets one
+    ``residual`` call: the steady mask is always built from its per-pair
+    residuals, and full-matrix scores are derived from them.  The
+    summary also holds whole-run maxima over every predicted instant
+    (``run_max_residual``, ``run_max_orth_deviation`` and
+    ``run_max_norm_defect``, the worst ``|x^T x - 1|``) and how many
+    predicted instants the steady mask excluded, so a run that diverges
+    inside an excluded window still shows it.
     """
     _check_metric(metric)
     K1 = traj.times.size
@@ -184,13 +196,13 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
             hi = min(lo + _BLOCK, K1)
             A = np.stack([flow.sample(float(t)) for t in traj.times[lo:hi]])
             Z = traj.z[lo:hi]
-            res[lo:hi] = residual(A, Z, metric="pair")
+            res[lo:hi] = residual(A, Z)
             orth[lo:hi] = orth_deviation(Z)
             X = Z[..., :n]
             norm_defect[lo:hi] = np.abs((X * X).sum(axis=2) - 1.0).max(
                 axis=1)
             if metric == "matrix":
-                score[lo:hi] = residual(A, Z, metric="matrix")
+                score[lo:hi] = _full_matrix(res[lo:hi], Z)
     mask, windows = steady_mask(traj, res)
 
     restarts = traj.restarts()
@@ -237,16 +249,15 @@ class BaselineReport:
     summary: dict
 
 
-
-
 def naive_baseline(flow: MatrixFlow, tau: float, t0: float = SolverConfig.t0,
                    tf: float = SolverConfig.tf,
                    metric: str = "pair") -> BaselineReport:
     """Decompose at t_k, hold the result as the prediction for t_{k+1}.
 
     Uses the same static eigensolver and the same continuity matching as
-    the predictor's startup, and scores with the same residual metric, so
-    the comparison isolates the effect of the look-ahead dynamics.  The
+    the predictor's startup, and scores with the same residual metric
+    (one ``residual`` call per block, full-matrix scores derived from it),
+    so the comparison isolates the effect of the look-ahead dynamics.  The
     span is worked through in blocks of instants; each block's matching
     continues from the last pairs of the one before, so the result does
     not depend on the block size.  The grid is ``SolverConfig``'s, and
@@ -272,7 +283,7 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = SolverConfig.t0,
         blocks = _static_blocks(samples[:-1], prev)
         res[lo:hi] = residual(samples[1:], blocks)
         if metric == "matrix":
-            score[lo:hi] = residual(samples[1:], blocks, metric="matrix")
+            score[lo:hi] = _full_matrix(res[lo:hi], blocks)
         A, prev = samples[-1], blocks[-1]
     summary = {"median_residual": _median(score),
                "max_residual": float(score.max()), "metric": metric}

@@ -20,6 +20,7 @@ over a flow's sampling grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import List, Optional
@@ -314,7 +315,8 @@ class Tracker:
         self.tau, self.s_star = config.tau, config.s_star
         self.taps = self.der.taps
         self.eta, self.mu = config.eta, config.mu
-        self.threshold = config.jump_threshold
+        # capped, so that an infinite estimate is a jump at threshold inf
+        self.threshold = min(config.jump_threshold, sys.float_info.max)
         self.tau_c = config.tau * rec.c_float()
         self.a = rec.a_float()
         self._shape = (n, n + 1)
@@ -398,7 +400,9 @@ class Tracker:
         Returns ``(jump, ||dA||_F)``.  The derivative estimate made here
         is the one the next prediction uses.  Without a jump the pending
         prediction becomes the newest state; with one the state is
-        dropped.
+        dropped.  A NaN or infinite ||dA||_F (a non-finite sample, or an
+        estimate that overflows) drops the state too, and raises
+        ValueError: no prediction can be built on it.
         """
         z_next, self._pending = self._pending, None
         if z_next is None:
@@ -410,8 +414,12 @@ class Tracker:
         self._sbuf[p + k] = A
         self.dA = derivative_estimate(self.der, self._sbuf[p:p + k], self.tau)
         da = fro_norm(self.dA)
-        if da > self.threshold:
+        if not da <= self.threshold:        # NaN and inf included
             self._zn = 0
+            if not math.isfinite(da):
+                raise ValueError(
+                    f"||dA||_F is {da}: the sample or its derivative "
+                    f"estimate is not finite; seed again with do_startup")
             return True, da
         k = self.s_star
         p = self._zp = (self._zp - 1) % k

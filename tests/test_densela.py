@@ -5,6 +5,11 @@ eigenvalues, characteristic-polynomial roots for 3x3, and numpy's
 general solver for linear systems.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,8 @@ from eigentrack.densela import (AsymmetryError, MatrixShapeError,
                                 bordered_stack, solve_augmented,
                                 solve_batch, solve_bordered, sym_eig_batch)
 from eigentrack.flows import builtin_flows
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -105,6 +112,38 @@ def test_non_finite_input_rejected(bad):
     stack = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, bad]])])
     with pytest.raises(ValueError, match="matrix 1 "):
         sym_eig_batch(stack)
+
+
+_SOLVE_AUGMENTED = """
+import sys
+import numpy as np
+from eigentrack.densela import solve_augmented
+P, q = np.eye(3), np.ones(3)
+(P if sys.argv[1] == "P" else q).flat[1] = float(sys.argv[2])
+try:
+    rep = solve_augmented(P, q)
+except np.linalg.LinAlgError as exc:
+    print("LinAlgError:", exc)
+else:
+    print("returned", rep.method, rep.x)
+"""
+
+
+@pytest.mark.parametrize("where", ["P", "q"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_least_squares_rejects_non_finite_input(bad, where):
+    # LAPACK's least-squares driver spins on a non-finite P and returns
+    # NaN for a non-finite q, so the call runs in a child process: a hang
+    # fails this test at the timeout instead of stalling the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVE_AUGMENTED, where, bad], env=env,
+        capture_output=True, text=True, timeout=30, check=True)
+    assert proc.stdout.strip() == (
+        f"LinAlgError: least-squares system with a non-finite entry in "
+        f"{where}")
 
 
 def test_bad_shapes_rejected():

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import eigentrack as et
+from eigentrack import harness
+from eigentrack.densela import residual
 from eigentrack.harness import (_median, build_report, convergence_sweep,
-                                naive_baseline, orth_deviation, residual,
-                                steady_mask, timed_run)
-from eigentrack.znn import SolverConfig, run
+                                naive_baseline, orth_deviation, steady_mask,
+                                timed_run)
+from eigentrack.znn import SolverConfig, _static_blocks, run
 
 
 # ------------------------------------------------------------------ metrics
@@ -32,18 +34,13 @@ def test_residual_block_and_matrix_metric():
     A = np.diag([2.0, 5.0])
     Z = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 5.0]])
     assert np.array_equal(residual(A, Z), np.zeros(2))
-    assert residual(A, Z, metric="matrix") == 0.0
+    assert harness._full_matrix(residual(A, Z)[None], Z[None])[0] == 0.0
     Z[0, 2] = 2.1
     per_pair = residual(A, Z)
-    full = residual(A, Z, metric="matrix")
+    full = harness._full_matrix(per_pair[None], Z[None])[0]
     assert per_pair[0] > 0 and per_pair[1] == 0
     # same defect, scaled by ||V||_F = sqrt(2) instead of per-pair norms
     assert full == pytest.approx(per_pair[0] / np.sqrt(2.0), abs=1e-15)
-
-
-def test_residual_rejects_unknown_metric():
-    with pytest.raises(ValueError):
-        residual(np.eye(2), np.array([1.0, 0.0, 1.0]), metric="spectral")
 
 
 def test_residual_rejects_pairs_of_another_shape():
@@ -63,8 +60,9 @@ def test_orth_deviation_values():
 
 
 def _residual_one_instant(A, Z, metric):
-    """Per-instant residual arithmetic, kept as the reference the stacked
-    form must reproduce bit for bit."""
+    """Per-instant residual arithmetic, kept as the reference: the stacked
+    per-pair form must reproduce it bit for bit, and the full-matrix
+    score derived from the per-pair one within a few ulps."""
     n = A.shape[0]
     X, lam = Z[:, :n], Z[:, n]
     R = X @ A.T - lam[:, None] * X
@@ -92,11 +90,10 @@ def test_stacked_scores_equal_the_per_instant_arithmetic(n, separated_flow):
     Z = np.concatenate([V.transpose(0, 2, 1), w[:, :, None]], axis=2)
     Z += 1e-6 * rng.standard_normal(Z.shape)
     for lo, hi in ((0, 402), (0, 64), (100, 356), (401, 402)):
-        for metric in ("pair", "matrix"):
-            want = np.array([_residual_one_instant(A[k], Z[k], metric)
-                             for k in range(lo, hi)])
-            got = residual(A[lo:hi], Z[lo:hi], metric=metric)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = np.array([_residual_one_instant(A[k], Z[k], "pair")
+                         for k in range(lo, hi)])
+        got = residual(A[lo:hi], Z[lo:hi])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         want = np.array([_orth_one_instant(Z[k]) for k in range(lo, hi)])
         got = orth_deviation(Z[lo:hi])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -105,20 +102,16 @@ def test_stacked_scores_equal_the_per_instant_arithmetic(n, separated_flow):
     for k in (0, 250):
         assert np.array_equal(residual(A[k], Z[k]),
                               _residual_one_instant(A[k], Z[k], "pair"))
-        assert residual(A[k], Z[k], metric="matrix") == \
-            _residual_one_instant(A[k], Z[k], "matrix")
         assert orth_deviation(Z[k]) == _orth_one_instant(Z[k])
-        for metric in ("pair", "matrix"):
-            for z in (Z[k], Z[k, 2]):            # a block, one vector
-                one = residual(A[k:k + 1], z.reshape(1, -1, n + 1),
-                               metric=metric)[0]
-                got = residual(A[k], z, metric=metric)
-                if metric == "pair" and z.ndim == 2:
-                    assert got.shape == (n,)
-                else:
-                    assert isinstance(got, float)
-                assert np.array_equal(np.ravel(got).view(np.uint64),
-                                      np.ravel(one).view(np.uint64))
+        for z in (Z[k], Z[k, 2]):                # a block, one vector
+            one = residual(A[k:k + 1], z.reshape(1, -1, n + 1))[0]
+            got = residual(A[k], z)
+            if z.ndim == 2:
+                assert got.shape == (n,)
+            else:
+                assert isinstance(got, float)
+            assert np.array_equal(np.ravel(got).view(np.uint64),
+                                  np.ravel(one).view(np.uint64))
         assert _bits(orth_deviation(Z[k])) == _bits(
             orth_deviation(Z[k:k + 1])[0])
 
@@ -352,10 +345,44 @@ def test_build_report_matrix_samples_each_instant_once():
     assert len(calls) == traj.times.size
 
 
+@pytest.mark.parametrize("n", [7, 32])
+def test_full_matrix_scores_match_the_per_instant_formula(
+        n, monkeypatch, separated_flow):
+    """The report's and the baseline's full-matrix score of each instant,
+    derived from its per-pair residuals, is the paper's
+    ||A V - V D||_F / (||A||_F ||V||_F) within a few ulps: the sums run in
+    another order, so the bits may differ."""
+    flow = separated_flow(n, 3)
+    cfg = SolverConfig(tau=0.01, tf=0.6)
+    A = np.stack([flow.sample(float(t)) for t in cfg.times])
+    traj = run(flow, cfg)
+    scores, full_matrix = [], harness._full_matrix
+
+    def recorded(res, Z):                   # every score harness derives
+        scores.append(full_matrix(res, Z))
+        return scores[-1]
+    monkeypatch.setattr(harness, "_full_matrix", recorded)
+    monkeypatch.setattr(harness, "_BLOCK", 16)
+    rep = build_report(flow, traj, metric="matrix")
+    got = np.concatenate(scores)
+    want = [_residual_one_instant(A[k], traj.z[k], "matrix")
+            for k in range(len(A))]
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    assert rep.summary["max_residual"] == got[rep.mask].max()
+
+    del scores[:]
+    bl = naive_baseline(flow, tau=cfg.tau, tf=cfg.tf, metric="matrix")
+    got = np.concatenate(scores)
+    held = _static_blocks(A[:-1])
+    want = [_residual_one_instant(A[k + 1], held[k], "matrix")
+            for k in range(len(held))]
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    assert bl.summary["max_residual"] == got.max()
+
+
 @pytest.mark.parametrize("metric", ["pair", "matrix"])
 def test_report_blocks_do_not_change_the_report(monkeypatch, short_run,
                                                 metric):
-    from eigentrack import harness
     flow, traj = short_run
     monkeypatch.setattr(harness, "_BLOCK", 10 ** 6)
     whole = build_report(flow, traj, metric=metric)
@@ -413,7 +440,6 @@ def test_baseline_blocks_do_not_change_the_report(monkeypatch, metric):
     # eigenvalues t, 1, 2 cross at t = 1 and 2, so a block that restarted
     # the matching in ascending order would swap residual columns; 99
     # predictions in blocks of 7 (the last one short) against one block
-    from eigentrack import harness
     flow = et.conjugate(
         et.MatrixFlow(3, lambda t: np.diag([t, 1.0, 2.0]), label="cross"),
         et.OrthogonalRandomizer.from_seed(3, 5))

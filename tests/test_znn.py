@@ -555,6 +555,28 @@ def test_detect_jump_threshold():
     assert not under.states            # a jump drops the state
 
 
+@pytest.mark.parametrize("threshold", [300.0, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_observe_rejects_a_non_finite_sample(bad, threshold):
+    # one NaN or inf entry makes ||dA||_F NaN or inf, which is never below
+    # the threshold, inf included: observe drops the state and raises
+    # instead of handing the next predict a non-finite system
+    flow = et.conjugate(builtin_flows()["A_s"],
+                        et.OrthogonalRandomizer.from_seed(7, 7))
+    cfg = SolverConfig(jump_threshold=threshold)
+    tracker = Tracker(cfg, flow.n)
+    tracker.do_startup(np.stack([flow.sample(k * cfg.tau)
+                                 for k in range(cfg.s_star)]))
+    tracker.predict()
+    A = flow.sample(cfg.s_star * cfg.tau)
+    A[2, 3] = bad
+    with pytest.raises(ValueError, match=r"\|\|dA\|\|_F is .*do_startup"):
+        tracker.observe(A)
+    assert not tracker.states
+    with pytest.raises(ValueError, match="seed with a full do_startup"):
+        tracker.predict()
+
+
 # --------------------------------------------------------------------- runs
 
 @pytest.mark.parametrize("n", [7, 24])

@@ -1,9 +1,10 @@
 """Run evaluation: error metrics, reports, baselines, convergence sweeps.
 
-Everything here recomputes its numbers from flow samples and trajectory
-data, independent of the diagnostics the solver logged along the way, so
-a report doubles as a cross-check of the run itself.  The per-pair
-scores come from ``densela.residual``; full-matrix ones derive from them.
+A report recomputes its numbers from flow samples and trajectory data,
+independent of the diagnostics the solver logged along the way, so it
+doubles as a cross-check of the run itself; the baseline reads its own
+driver's log.  The per-pair scores come from ``densela.residual``;
+full-matrix ones derive from them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from .densela import fro_norms, residual
 from .flows import MatrixFlow
-from .znn import (_PREDICTED, _RESTART, SolverConfig, Trajectory,
-                  _static_blocks, run)
+from .znn import (_PREDICTED, _RESTART, SolverConfig, Trajectory, _drive,
+                  _Hold, run)
 
 __all__ = [
     "orth_deviation",
@@ -37,8 +38,8 @@ _TRANSIENT_PAD = 10
 _GLITCH_FACTOR = 1000.0
 # relative residuals at or below this are numerically exact, never glitches
 _GLITCH_FLOOR = 1e-13
-# build_report and naive_baseline sample this many instants at a time,
-# so their memory stays bounded on long spans of large matrices
+# build_report samples this many instants at a time, so its memory
+# stays bounded on long spans of large matrices
 # (at n = 7, blocks of 256 raised the benchmark's peak RSS by 0.2 MB
 # over scoring one instant at a time, and blocks of 128 by 0.04 MB)
 _BLOCK = 128
@@ -254,40 +255,24 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = SolverConfig.t0,
                    metric: str = "pair") -> BaselineReport:
     """Decompose at t_k, hold the result as the prediction for t_{k+1}.
 
-    Uses the same static eigensolver and the same continuity matching as
-    the predictor's startup, and scores with the same residual metric
-    (one ``residual`` call per block, full-matrix scores derived from it),
-    so the comparison isolates the effect of the look-ahead dynamics.  The
-    span is worked through in blocks of instants; each block's matching
-    continues from the last pairs of the one before, so the result does
-    not depend on the block size.  The grid is ``SolverConfig``'s, and
-    so are the checks of ``tau``, ``t0`` and ``tf``.
+    ``run``'s driver over ``znn._Hold``: one sample at a time, with the
+    same span check, static eigensolver, continuity matching and residual
+    log as the predictor (full-matrix scores derived from the log), so
+    the comparison isolates the effect of the look-ahead dynamics.  The
+    grid is ``SolverConfig``'s, and so are the checks of ``tau``, ``t0``
+    and ``tf``.
     """
     _check_metric(metric)
-    times = SolverConfig(tau=tau, t0=t0, tf=tf).times
-    K = times.size - 1
-    if K < 1:
+    config = SolverConfig(tau=tau, t0=t0, tf=tf)
+    if config.times.size < 2:
         raise ValueError("span shorter than one sampling gap")
-    res = np.empty((K, flow.n))
-    score = np.empty(K) if metric == "matrix" else res
-    A = flow.sample(float(times[0]))
-    prev = None
-    for lo in range(0, K, _BLOCK):
-        hi = min(lo + _BLOCK, K)
-        # samples at t_lo .. t_hi: decompose all but the last, score all
-        # but the first
-        samples = np.empty((hi - lo + 1, flow.n, flow.n))
-        samples[0] = A
-        for k in range(lo + 1, hi + 1):
-            samples[k - lo] = flow.sample(float(times[k]))
-        blocks = _static_blocks(samples[:-1], prev)
-        res[lo:hi] = residual(samples[1:], blocks)
-        if metric == "matrix":
-            score[lo:hi] = _full_matrix(res[lo:hi], blocks)
-        A, prev = samples[-1], blocks[-1]
+    traj = _drive(flow, config, _Hold(flow.n))
+    res = traj.residuals[1:]
+    score = _full_matrix(res, traj.z[1:]) if metric == "matrix" else res
     summary = {"median_residual": _median(score),
                "max_residual": float(score.max()), "metric": metric}
-    return BaselineReport(times=times[1:], residuals=res, summary=summary)
+    return BaselineReport(times=traj.times[1:], residuals=res,
+                          summary=summary)
 
 
 @dataclass

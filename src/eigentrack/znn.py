@@ -14,7 +14,7 @@ by a backward difference on the recorded samples.  Startup eigendata
 comes from the static eigensolver; an unusually large derivative
 estimate signals a data discontinuity and triggers a fresh startup.
 ``Tracker`` holds that state for a stream of samples; ``run`` drives it
-over a flow's sampling grid.
+over a flow's sampling grid, and the same loop drives ``_Hold``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from numbers import Real
+from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
@@ -254,26 +255,18 @@ def _dominant_rounds(dist, aov, first):
             return match
 
 
-def _static_blocks(samples, prev=None):
+def _static_blocks(samples):
     """Matched static eigendata for consecutive samples, (m, n, n+1).
 
-    Pairs are ordered by ascending eigenvalue at the first sample, or
-    matched to ``prev``, the (n, n+1) block of the sample just before,
-    when it is given; at each later sample the fresh decomposition is
-    matched to the previous one for continuity and eigenvector signs are
-    aligned (nonnegative consecutive inner product).  Row i of a block
-    is pair i's [x; lambda].
+    Pairs are ordered by ascending eigenvalue at the first sample; at
+    each later sample the fresh decomposition is matched to the previous
+    one for continuity and eigenvector signs are aligned (nonnegative
+    consecutive inner product).  Row i of a block is pair i's [x; lambda].
     """
     w_all, V_all = sym_eig_batch(samples)
     m, n = w_all.shape
     blocks = np.empty((m, n, n + 1))
-    if prev is None:
-        lam, X = w_all[0], V_all[0].T.copy()   # row i = pair i's vector
-    else:
-        # a contiguous copy, like the matcher's own output, so a chain cut
-        # into pieces reproduces the unbroken chain bit for bit
-        lam, X = _match_pairs(prev[:, n], np.ascontiguousarray(prev[:, :n]),
-                              w_all[0], V_all[0])
+    lam, X = w_all[0], V_all[0].T.copy()   # row i = pair i's vector
     for j in range(m):
         if j > 0:
             lam, X = _match_pairs(lam, X, w_all[j], V_all[j])
@@ -430,15 +423,48 @@ class Tracker:
         return False, da
 
 
-def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
-    """Track the full eigendecomposition across the configured span.
+class _Hold:
+    """Decompose-and-hold on ``Tracker``'s protocol: each instant is
+    predicted as the static eigendata of the sample before, matched to
+    the pairs held for continuity as ``_static_blocks`` matches them."""
 
-    A driver over ``Tracker``: it feeds the flow's samples on the grid
-    and records every instant.  A derivative estimate above the jump
-    threshold discards the in-flight prediction and restarts with fresh
-    static eigendata at the offending instant; predictions resume once
-    the buffers refill.  Non-finite values or solver failures abort with
-    the partial trajectory attached.
+    s_star = 1
+
+    def __init__(self, n: int):
+        self._report = SimpleNamespace(lstsq=np.zeros(n, dtype=bool))
+
+    def do_startup(self, samples):
+        blocks = _static_blocks(samples)
+        self._z = blocks[-1]
+        # contiguous, like the matcher's output: bit for bit one chain
+        self._X = np.ascontiguousarray(self._z[:, :-1])
+        return blocks, np.full(len(blocks), np.nan)
+
+    def predict(self):
+        return self._z, self._report
+
+    def observe(self, A):
+        (w,), (V,) = sym_eig_batch(A[None])
+        lam, self._X = _match_pairs(self._z[:, -1], self._X, w, V)
+        self._z = np.column_stack((self._X, lam))
+        return False, math.nan
+
+
+def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
+    """Track the full eigendecomposition across the configured span:
+    ``_drive`` over a ``Tracker``."""
+    return _drive(flow, config, Tracker(config, flow.n))
+
+
+def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
+    """The one prediction loop, over any predictor with ``Tracker``'s
+    ``s_star``, ``do_startup``, ``predict`` and ``observe``.
+
+    It checks the span up front, feeds the flow's samples on the grid
+    and records every instant.  A reported jump discards the in-flight
+    prediction and starts the predictor again at the offending instant,
+    from its next s* samples.  Non-finite values or solver failures
+    abort with the partial trajectory attached.
 
     The residual log does not feed the next prediction, so predicted
     instants are scored in blocks: each one's sample is copied into a
@@ -448,7 +474,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     ``residual(A_k, z_k)`` alone.  The flow is sampled at Python floats,
     ``times.item(k)``, the same values as the grid's entries.
     """
-    s_star = config.s_star
+    s_star = predictor.s_star
     n = flow.n
     times = config.times
     K = times.size - 1
@@ -460,7 +486,6 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
     residuals = np.full((K + 1, n), np.nan)
     lstsq = np.zeros((K + 1, n), dtype=bool)
     da_norms = np.full(K + 1, np.nan)
-    tracker = Tracker(config, n)
     block = max(1, min(128, 65536 // (8 * n * n)))
     queue_A = np.empty((block, n, n))
     queue_k = np.empty(block, dtype=np.intp)
@@ -487,7 +512,7 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         samples = np.stack([flow.sample(times.item(k))
                             for k in range(k0, last + 1)])
         try:
-            blocks, norms = tracker.do_startup(samples)
+            blocks, norms = predictor.do_startup(samples)
         except np.linalg.LinAlgError as exc:
             raise NumericalAbort(
                 f"startup eigensolver failed at t={times[k0]}: {exc}",
@@ -510,12 +535,12 @@ def run(flow: MatrixFlow, config: SolverConfig) -> Trajectory:
         while k < K:
             knew = k + 1
             try:
-                z, sol = tracker.predict()
+                z, sol = predictor.predict()
             except (densela.MatrixShapeError, np.linalg.LinAlgError) as exc:
                 raise NumericalAbort(f"solve failed at step {k}: {exc}",
                                      partial(k)) from exc
             A_new = flow.sample(times.item(knew))
-            jump, da_norms[knew] = tracker.observe(A_new)
+            jump, da_norms[knew] = predictor.observe(A_new)
             if jump:
                 k = start(knew, _RESTART)
                 continue

@@ -293,6 +293,19 @@ def test_grid_over_the_instant_limit_exit_2(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())      # rejected before any output
 
 
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_span_past_a_file_flow_exit_2_before_any_work(command, tmp_path,
+                                                      capsys, monkeypatch):
+    path = tmp_path / "short.flow"
+    write_flow_file(path, diag_linear_flow(), t0=0.0, tau=0.01, count=51)
+    monkeypatch.setattr(znn, "sym_eig_batch", None)   # no decomposition
+    rc = run_cli(command, "--flow", str(path), "--tau", "0.01", "--tf",
+                 "1.0", "--output", str(tmp_path) + "/")
+    assert rc == 2
+    assert "configured span leaves the flow's domain" in \
+        capsys.readouterr().err
+
+
 def test_infinite_jump_threshold_never_restarts(tmp_path):
     out = str(tmp_path) + "/"
     rc = run_cli("run", "--flow", "paper-raw", "--tau", "0.005",

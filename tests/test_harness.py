@@ -429,28 +429,24 @@ def test_baseline_rejects_an_unknown_metric():
                        metric="bogus")
 
 
-def test_baseline_matrix_metric():
-    rep = naive_baseline(et.diag_linear_flow(), tau=0.01, t0=0.0, tf=0.5,
-                         metric="matrix")
-    assert rep.summary["metric"] == "matrix"
-
-
 @pytest.mark.parametrize("metric", ["pair", "matrix"])
-def test_baseline_blocks_do_not_change_the_report(monkeypatch, metric):
-    # eigenvalues t, 1, 2 cross at t = 1 and 2, so a block that restarted
-    # the matching in ascending order would swap residual columns; 99
-    # predictions in blocks of 7 (the last one short) against one block
+def test_baseline_blocks_do_not_change_the_report(metric):
+    # eigenvalues t, 1, 2 cross at t = 1 and 2, so matching that restarted
+    # in ascending order would swap residual columns: 99 one-sample
+    # predictions against one unbroken _static_blocks chain of all samples
     flow = et.conjugate(
         et.MatrixFlow(3, lambda t: np.diag([t, 1.0, 2.0]), label="cross"),
         et.OrthogonalRandomizer.from_seed(3, 5))
-    monkeypatch.setattr(harness, "_BLOCK", 10 ** 6)
-    whole = naive_baseline(flow, tau=0.03, tf=2.97, metric=metric)
-    monkeypatch.setattr(harness, "_BLOCK", 7)
-    blocks = naive_baseline(flow, tau=0.03, tf=2.97, metric=metric)
-    assert whole.times.size == 99
-    assert np.array_equal(blocks.times, whole.times)
-    assert np.array_equal(blocks.residuals, whole.residuals)
-    assert blocks.summary == whole.summary
+    times = SolverConfig(tau=0.03, tf=2.97).times
+    bl = naive_baseline(flow, tau=0.03, tf=2.97, metric=metric)
+    A = np.stack([flow.sample(t) for t in times.tolist()])
+    held = _static_blocks(A[:-1])
+    res = residual(A[1:], held)
+    score = harness._full_matrix(res, held) if metric == "matrix" else res
+    assert bl.times.size == 99 and np.array_equal(bl.times, times[1:])
+    assert np.array_equal(bl.residuals, res)
+    assert bl.summary == {"median_residual": _median(score),
+                          "max_residual": score.max(), "metric": metric}
 
 
 # -------------------------------------------------------------------- sweep

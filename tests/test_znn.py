@@ -718,12 +718,15 @@ def test_run_aborts_on_divergence(smooth7):
     assert partial.residuals.shape == (partial.times.size, 7)
 
 
-def test_run_rejects_span_overrun():
-    cfg = SolverConfig(tau=0.01, eta=1.0, t0=0.0, tf=1.0)
-    flow = MatrixFlow(n=2, sampler=lambda t: np.eye(2), label="tiny",
+def test_run_and_baseline_reject_a_span_overrun_before_sampling():
+    calls = []
+    flow = MatrixFlow(2, lambda t: calls.append(t) or np.eye(2),
                       span=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        run(flow, cfg)
+    with pytest.raises(ValueError, match="span leaves the flow's domain"):
+        run(flow, SolverConfig(tau=0.01, eta=1.0, tf=1.0))
+    with pytest.raises(ValueError, match="span leaves the flow's domain"):
+        et.naive_baseline(flow, tau=0.01, tf=1.0)
+    assert calls == []
 
 
 def test_run_rejects_a_sampler_of_the_wrong_size():
@@ -776,6 +779,22 @@ def test_logged_residuals_are_scored_alone_bit_for_bit(
     assert sum(sizes) == traj.kind.count("predicted") + starts * cfg.s_star
     assert len(sizes) - starts > 1 and max(sizes) == block
     _assert_scored_alone(flow, traj)
+
+
+@pytest.mark.parametrize("predictor", ["Tracker", "_Hold"])
+def test_every_predictor_meets_the_driver_contract(predictor):
+    # run drives a Tracker, naive_baseline a _Hold: through jumps, each
+    # predicted instant logs residual(A_k, z_k) alone, and runs repeat
+    pool = builtin_flows()
+    flow = with_jumps(pool["A_s"], pool["A_sj"], JumpSchedule((0.8,)))
+    cfg = SolverConfig(tau=0.005, eta=4.5, tf=1.6)
+    drive = ((lambda: znn._drive(flow, cfg, znn._Hold(7)))
+             if predictor == "_Hold" else (lambda: run(flow, cfg)))
+    first, again = drive(), drive()
+    _assert_scored_alone(flow, first)
+    for name in ("z", "kind_code", "residuals", "lstsq", "da_norms"):
+        np.testing.assert_array_equal(getattr(first, name),
+                                      getattr(again, name))
 
 
 def test_restart_abort_leaves_the_queued_instants_scored(monkeypatch):

@@ -429,6 +429,12 @@ def test_baseline_rejects_an_unknown_metric():
                        metric="bogus")
 
 
+def test_baseline_matrix_metric():
+    rep = naive_baseline(et.diag_linear_flow(), tau=0.01, t0=0.0, tf=0.5,
+                         metric="matrix")
+    assert rep.summary["metric"] == "matrix"
+
+
 @pytest.mark.parametrize("metric", ["pair", "matrix"])
 def test_baseline_blocks_do_not_change_the_report(metric):
     # eigenvalues t, 1, 2 cross at t = 1 and 2, so matching that restarted

@@ -2,11 +2,13 @@
 
 Three LAPACK drivers behind ``numpy.linalg``: a symmetric eigensolver
 (``eigh``, syevd) for startup and restart eigendata, a square solve
-(``solve``, gesv) for bordered systems, and a minimum-norm least-squares
-fallback (``lstsq``, gelsd) for the near singular ones.  The eigensolver
-and the square solve take a whole stack of matrices along the leading
-axis in one call; numpy hands each member to LAPACK on its own, so a
-batch result equals the single-matrix one bit for bit.
+(gesv, through the gufunc ``numpy.linalg.solve`` wraps) for bordered
+systems, and a minimum-norm least-squares fallback (``lstsq``, gelsd)
+for the near singular ones.  The eigensolver and the square solve take a
+whole stack of matrices along the leading axis in one call; numpy hands
+each member to LAPACK on its own, so a batch result equals the
+single-matrix one bit for bit, and an exactly singular member comes back
+NaN without failing the rest.
 
 ``solve_bordered`` solves the n bordered systems of one instant.  From
 n = 16 it solves them together in the tracked eigenbasis, with a few
@@ -28,6 +30,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+# the gufunc behind numpy.linalg.solve: called directly, an exactly
+# singular member of a stack comes back NaN instead of failing the stack
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 __all__ = [
     "LinearSolveReport",
@@ -184,20 +189,23 @@ def sym_eig_batch(As):
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise MatrixShapeError(f"expected a (B, n, n) stack, got {As.shape}")
-    norms = np.sqrt((As * As).sum(axis=(1, 2)))
+    norms = fro_norms(As)
     if not np.isfinite(norms).all():
         bad = int(np.flatnonzero(~np.isfinite(norms))[0])
         raise ValueError(f"matrix {bad} of the stack has a non-finite entry "
                          "or a Frobenius norm that overflows")
-    asym = np.sqrt(((As - As.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2)))
-    if np.any(asym > _ASYM_REL * norms):
+    if np.any(fro_norms(As - As.transpose(0, 2, 1)) > _ASYM_REL * norms):
         raise AsymmetryError("input is not symmetric to working tolerance")
 
     w, V = np.linalg.eigh(As)
-    # deterministic signs: largest-magnitude entry of each column positive
+    # deterministic signs: largest-magnitude entry of each column
+    # positive; the peak's flat index is b n^2 + row n + column
+    B, n = w.shape
     peak = np.argmax(np.abs(V), axis=1)                      # (B, n)
-    peak_vals = np.take_along_axis(V, peak[:, None, :], axis=1)[:, 0, :]
-    V = V * np.where(peak_vals < 0.0, -1.0, 1.0)[:, None, :]
+    peak *= n
+    peak += np.arange(0, B * n * n, n * n)[:, None]
+    peak += np.arange(n)
+    np.negative(V, out=V, where=(V.take(peak) < 0.0)[:, None, :])
     return w, V
 
 
@@ -226,17 +234,6 @@ def solve_augmented(P, q) -> LinearSolveReport:
     return LinearSolveReport(x=x, method="least-squares", rpr=rpr)
 
 
-def _solve_each(Ps, qs):
-    """Per-system direct solves; an exactly singular system yields NaN."""
-    X = np.full(qs.shape, np.nan)
-    for b in range(len(Ps)):
-        try:
-            X[b] = np.linalg.solve(Ps[b], qs[b])
-        except np.linalg.LinAlgError:
-            pass
-    return X
-
-
 def _amplification_test(q2, P2, y2, usable=None):
     """Both routes' near-singular rule on squared norms, q2 = ||q||^2,
     P2 = ||P||_F^2, y2 = ||y||^2: direct when usable and
@@ -253,13 +250,13 @@ def _amplification_test(q2, P2, y2, usable=None):
 
 def _solve_stack(Ps, qs) -> BatchSolveReport:
     """The dense route of checked (B, m, m) and (B, m) stacks: one
-    LAPACK call (per-system calls when one member is exactly singular),
-    the amplification test and the least-squares fallback."""
-    try:
-        X = np.linalg.solve(Ps, qs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # numpy fails the whole stack when one member is singular
-        X = _solve_each(Ps, qs)
+    LAPACK call, whose exactly singular members come back NaN, the
+    amplification test, which a NaN solution fails, and the
+    least-squares fallback."""
+    # numpy.linalg.solve's error state, minus its raise on a singular
+    # member
+    with np.errstate(all="ignore"):
+        X = _gesv(Ps, qs, signature="dd->d")
     q2 = np.add.reduce(qs * qs, axis=1)
     P2 = np.add.reduce(Ps * Ps, axis=(1, 2))
     x2 = np.add.reduce(X * X, axis=1)
@@ -277,10 +274,11 @@ def _solve_stack(Ps, qs) -> BatchSolveReport:
 def solve_batch(Ps, qs) -> BatchSolveReport:
     """Solve a stack of square systems P x = q in one LAPACK call.
 
-    A system is near singular when LAPACK finds it exactly singular, when
-    its solution is not finite, or when its amplification ratio
-    ||q|| / (||P||_F ||x||) is below 1e-12 (tested on squares); such a
-    system is handed to solve_augmented instead, and marked in ``lstsq``.
+    A system is near singular when LAPACK finds it exactly singular (its
+    solution comes back NaN), when its solution is not finite, or when
+    its amplification ratio ||q|| / (||P||_F ||x||) is below 1e-12
+    (tested on squares); such a system is handed to solve_augmented
+    instead, and marked in ``lstsq``.
     """
     Ps = np.asarray(Ps, dtype=float)
     qs = np.asarray(qs, dtype=float)

@@ -293,7 +293,9 @@ def convergence_sweep(flow: MatrixFlow, template: SolverConfig,
     (the decay constants scale as 1/tau), so every run sits at the same
     point of the recursion's stability region and the fitted slope
     reflects the formula pair's order rather than a drifting gain.
-    Needs at least three gaps for a meaningful fit.
+    Needs at least three gaps for a meaningful fit, and raises
+    ValueError naming the gap whose run has no steady instant or a
+    steady median that is not positive.
     """
     taus = np.asarray(sorted(taus, reverse=True), dtype=float)
     if taus.size < 3:
@@ -308,8 +310,15 @@ def convergence_sweep(flow: MatrixFlow, template: SolverConfig,
         cfg = replace(template, tau=float(tau_i), eta=float(eta_i),
                       mu=float(mu_ratio * eta_i))
         traj = run(flow, cfg)
-        rep = build_report(flow, traj)
-        medians[i] = rep.summary["median_residual"]
+        median = build_report(flow, traj).summary.get("median_residual")
+        if median is None or not median > 0.0:
+            what = ("no steady instant" if median is None
+                    else f"a steady median residual of {median!r}")
+            raise ValueError(
+                f"taus: the run at tau = {cfg.tau!r} has {what} up to "
+                f"tf = {cfg.tf!r}, and the log-log fit needs a positive "
+                "median from every run")
+        medians[i] = median
     slope = float(np.polyfit(np.log(taus), np.log(medians), 1)[0])
     return SweepReport(taus=taus, etas=etas, medians=medians, slope=slope)
 

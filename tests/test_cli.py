@@ -254,6 +254,10 @@ def test_run_abort_at_first_instant(tmp_path, capsys, monkeypatch):
     ("converge", "--taus", "0.01,abc,0.005"),
     ("converge", "--taus", "0.01,,0.005,0.0025"),
     ("run", "--flow", "diag-linear", "--seed", "3"),
+    # no steady instant to fit, and a steady median of 0
+    ("converge", "--taus", "0.01,0.005,0.0025", "--tf", "0.02"),
+    ("converge", "--flow", "diag-linear", "--taus", "0.04,0.02,0.01",
+     "--tf", "1.0"),
 ])
 def test_config_errors_exit_2(argv, tmp_path, capsys):
     rc = run_cli(*argv, "--output", str(tmp_path) + "/")

@@ -162,6 +162,23 @@ def test_batch_equals_scalar(rng):
         assert np.array_equal(V_b[i], V)
 
 
+def test_batch_equals_numpy_eigh_with_the_sign_rule(rng):
+    # the sign rule's reference: each column scaled by the sign of its
+    # first entry of largest magnitude
+    flow = builtin_flows()["A_sj"]
+    stacks = [np.stack([random_symmetric(rng, n) for _ in range(5)])
+              for n in (2, 3, 7)]
+    stacks.append(np.stack([flow.sample(t) for t in (0.0, 0.7, 8.0, 14.5)]))
+    for As in stacks:
+        w_b, V_b = sym_eig_batch(As)
+        for A, w, V in zip(As, w_b, V_b):
+            w_ref, V_ref = np.linalg.eigh(A)
+            cols = np.arange(len(A))
+            signs = np.sign(V_ref[np.argmax(np.abs(V_ref), axis=0), cols])
+            assert np.array_equal(w, w_ref)
+            assert np.array_equal(V, V_ref * signs)
+
+
 def test_batch_with_mixed_difficulty(rng):
     # a nearly diagonal member must not perturb a generic one
     easy = np.diag([1.0, 2.0, 3.0])
@@ -249,6 +266,8 @@ def test_solve_batch_matches_scalar(rng):
         single = solve_one(Ps[i], qs[i])
         assert np.array_equal(rep.x, single.x)
         assert rep.method == single.method
+        # the stacked kernel is numpy.linalg.solve's own
+        assert np.array_equal(rep.x, np.linalg.solve(Ps[i], qs[i]))
 
 
 def test_solve_batch_mixed_singular(rng):
@@ -280,13 +299,22 @@ def test_solve_batch_report_arrays(rng):
 
 
 def test_solve_batch_mixed_keeps_per_system_labels(rng):
+    # an exactly singular member comes back from LAPACK as NaN, with no
+    # warning under the suite's "error" filter, and falls back alone;
+    # the second stack is singular in every member
     good = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     bad = np.diag([1.0, 0.0, 2.0])
-    rep = solve_batch(np.stack([bad, good, bad]), np.ones((3, 3)))
-    assert rep.lstsq.tolist() == [True, False, True]
-    assert np.array_equal(rep.x[1], np.linalg.solve(good, np.ones(3)))
-    assert rep.x[0] == pytest.approx([1.0, 0.0, 0.5], abs=1e-12)
-    assert rep.rpr[0] < 1e-12
+    for middle in (good, bad):
+        Ps = np.stack([bad, middle, bad])
+        rep = solve_batch(Ps, np.ones((3, 3)))
+        assert rep.lstsq.tolist() == [True, middle is bad, True]
+        for b in np.flatnonzero(rep.lstsq):
+            assert np.array_equal(rep.x[b],
+                                  solve_augmented(Ps[b], np.ones(3)).x)
+            assert rep.x[b] == pytest.approx([1.0, 0.0, 0.5], abs=1e-12)
+            assert rep.rpr[b] < 1e-12
+        if middle is good:
+            assert np.array_equal(rep.x[1], np.linalg.solve(good, np.ones(3)))
 
 
 def test_solve_shape_errors():
@@ -448,8 +476,9 @@ def _work_arrays(work):
 
 def _dense_route_states(rng, n):
     """States of the dense route at n pairs: random, a q = 0 row, an
-    exactly colliding pair (a singular stack: per-system solves, then
-    least squares) and a nearly colliding one (LU, then least squares)."""
+    exactly colliding pair (singular members: NaN from the stacked
+    solve, then least squares) and a nearly colliding one (LU, then
+    least squares)."""
     states = []
     for _ in range(2):
         states.append((random_symmetric(rng, n),

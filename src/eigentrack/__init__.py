@@ -18,7 +18,7 @@ driver), `harness` (metrics, reports, baselines, sweeps), `g17` (the
 """
 
 from .densela import (AsymmetryError, LinearSolveReport, MatrixShapeError,
-                      fro_norm, residual, solve_augmented, sym_eig_batch)
+                      fro_norm, residual, sym_eig_batch)
 from .flows import (FlowFileError, InterpolationError, JumpSchedule,
                     MatrixFlow, OrthogonalRandomizer, SpanError,
                     builtin_flows, conjugate, constant_flow,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetryError", "LinearSolveReport", "MatrixShapeError", "fro_norm",
-    "residual", "solve_augmented", "sym_eig_batch",
+    "residual", "sym_eig_batch",
     "FlowFileError", "InterpolationError", "JumpSchedule", "MatrixFlow",
     "OrthogonalRandomizer", "SpanError", "builtin_flows",
     "conjugate", "constant_flow", "diag_linear_flow", "flow_from_file",

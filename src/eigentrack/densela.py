@@ -44,7 +44,6 @@ __all__ = [
     "solve_batch",
     "solve_bordered",
     "bordered_stack",
-    "solve_augmented",
     "fro_norm",
     "fro_norms",
     "residual",
@@ -189,12 +188,14 @@ def sym_eig_batch(As):
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise MatrixShapeError(f"expected a (B, n, n) stack, got {As.shape}")
-    norms = fro_norms(As)
+    with np.errstate(over="ignore", invalid="ignore"):   # raised below
+        norms = fro_norms(As)
+        asym = fro_norms(As - As.transpose(0, 2, 1))
     if not np.isfinite(norms).all():
         bad = int(np.flatnonzero(~np.isfinite(norms))[0])
         raise ValueError(f"matrix {bad} of the stack has a non-finite entry "
                          "or a Frobenius norm that overflows")
-    if np.any(fro_norms(As - As.transpose(0, 2, 1)) > _ASYM_REL * norms):
+    if np.any(asym > _ASYM_REL * norms):
         raise AsymmetryError("input is not symmetric to working tolerance")
 
     w, V = np.linalg.eigh(As)
@@ -207,31 +208,6 @@ def sym_eig_batch(As):
     peak += np.arange(n)
     np.negative(V, out=V, where=(V.take(peak) < 0.0)[:, None, :])
     return w, V
-
-
-def solve_augmented(P, q) -> LinearSolveReport:
-    """Minimum-norm least-squares solve of P x = q through the SVD.
-
-    For nonsingular P this agrees with the direct solve; for singular P it
-    picks the minimum-norm solution, which keeps the predictor finite
-    through exact eigenvalue collisions.  No zero row is appended, the
-    name notwithstanding: one would leave the singular values and right
-    singular vectors of P, and so the solution, unchanged.  A NaN or
-    infinite entry raises ``numpy.linalg.LinAlgError`` naming P or q:
-    LAPACK's driver can spin on such a P and returns NaN for such a q.
-    """
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float).ravel()
-    m = P.shape[0]
-    if P.shape != (m, m) or q.shape != (m,):
-        raise MatrixShapeError(f"bad shapes {P.shape}, {q.shape}")
-    for name, M in (("P", P), ("q", q)):
-        if not np.isfinite(M).all():
-            raise np.linalg.LinAlgError(
-                f"least-squares system with a non-finite entry in {name}")
-    x, _, _, sv = np.linalg.lstsq(P, q, rcond=None)
-    rpr = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0 else 0.0
-    return LinearSolveReport(x=x, method="least-squares", rpr=rpr)
 
 
 def _amplification_test(q2, P2, y2, usable=None):
@@ -252,7 +228,11 @@ def _solve_stack(Ps, qs) -> BatchSolveReport:
     """The dense route of checked (B, m, m) and (B, m) stacks: one
     LAPACK call, whose exactly singular members come back NaN, the
     amplification test, which a NaN solution fails, and the
-    least-squares fallback."""
+    least-squares fallback: per member that failed the test, one
+    minimum-norm ``numpy.linalg.lstsq`` call, with sigma_min / sigma_max
+    of P as its indicator (0 for P = 0).  A NaN or infinite entry in P,
+    then in q, raises ``numpy.linalg.LinAlgError`` first: the driver can
+    spin on such a P and returns NaN for such a q."""
     # numpy.linalg.solve's error state, minus its raise on a singular
     # member
     with np.errstate(all="ignore"):
@@ -265,8 +245,14 @@ def _solve_stack(Ps, qs) -> BatchSolveReport:
     if np.count_nonzero(lstsq):
         fallback = np.zeros(len(X))
         for b in np.flatnonzero(lstsq):
-            rep = solve_augmented(Ps[b], qs[b])
-            X[b], fallback[b] = rep.x, rep.rpr
+            for name, M in (("P", Ps[b]), ("q", qs[b])):
+                if not np.isfinite(M).all():
+                    raise np.linalg.LinAlgError(
+                        "least-squares system with a non-finite entry "
+                        f"in {name}")
+            X[b], _, _, sv = np.linalg.lstsq(Ps[b], qs[b], rcond=None)
+            if sv[0] > 0:
+                fallback[b] = sv[-1] / sv[0]
     return BatchSolveReport(x=X, lstsq=lstsq, q2=q2, P2=P2, x2=x2,
                             fallback_rpr=fallback)
 
@@ -277,8 +263,8 @@ def solve_batch(Ps, qs) -> BatchSolveReport:
     A system is near singular when LAPACK finds it exactly singular (its
     solution comes back NaN), when its solution is not finite, or when
     its amplification ratio ||q|| / (||P||_F ||x||) is below 1e-12
-    (tested on squares); such a system is handed to solve_augmented
-    instead, and marked in ``lstsq``.
+    (tested on squares); such a system takes the least-squares fallback
+    (a non-finite one raises LinAlgError there) and is marked in ``lstsq``.
     """
     Ps = np.asarray(Ps, dtype=float)
     qs = np.asarray(qs, dtype=float)

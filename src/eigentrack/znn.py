@@ -68,6 +68,10 @@ class NumericalAbort(RuntimeError):
         self.trajectory = trajectory
 
 
+class _NonFiniteRate(ValueError):
+    """``Tracker.observe``'s error for a NaN or infinite ||dA||_F."""
+
+
 @dataclass
 class SolverConfig:
     """Everything a run needs: gaps, gains, formula preset, threshold, span.
@@ -410,7 +414,7 @@ class Tracker:
         if not da <= self.threshold:        # NaN and inf included
             self._zn = 0
             if not math.isfinite(da):
-                raise ValueError(
+                raise _NonFiniteRate(
                     f"||dA||_F is {da}: the sample or its derivative "
                     f"estimate is not finite; seed again with do_startup")
             return True, da
@@ -463,8 +467,9 @@ def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
     It checks the span up front, feeds the flow's samples on the grid
     and records every instant.  A reported jump discards the in-flight
     prediction and starts the predictor again at the offending instant,
-    from its next s* samples.  Non-finite values or solver failures
-    abort with the partial trajectory attached.
+    from its next s* samples.  A non-finite prediction, a failed solve
+    or startup eigensolve and a derivative estimate that overflows (on
+    finite samples) abort with the partial trajectory attached.
 
     The residual log does not feed the next prediction, so predicted
     instants are scored in blocks: each one's sample is copied into a
@@ -540,7 +545,11 @@ def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
                 raise NumericalAbort(f"solve failed at step {k}: {exc}",
                                      partial(k)) from exc
             A_new = flow.sample(times.item(knew))
-            jump, da_norms[knew] = predictor.observe(A_new)
+            try:
+                jump, da_norms[knew] = predictor.observe(A_new)
+            except _NonFiniteRate as exc:
+                raise NumericalAbort(f"||dA||_F is not finite at "
+                                     f"t={times[knew]}", partial(k)) from exc
             if jump:
                 k = start(knew, _RESTART)
                 continue

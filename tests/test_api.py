@@ -14,7 +14,7 @@ MODULES = ["eigentrack", "eigentrack.cli", "eigentrack.densela",
 # Trajectory.restarts() replaces StepEvent and restart_events(); a run
 # with jump_threshold=inf gives derivative_trace's norms as da_norms
 REMOVED = ("StepEvent", "restart_events", "derivative_trace", "sym_eig",
-           "EigenDecomposition", "solve")
+           "EigenDecomposition", "solve", "solve_augmented")
 
 
 @pytest.mark.parametrize("name", MODULES)

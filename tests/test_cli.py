@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from eigentrack import cli, harness, znn
-from eigentrack.flows import constant_flow, diag_linear_flow, write_flow_file
+from eigentrack.flows import (JumpSchedule, constant_flow, diag_linear_flow,
+                              with_jumps, write_flow_file)
 from eigentrack.formulas import PRESETS
 
 
@@ -230,6 +231,26 @@ def test_run_abort_at_first_instant(tmp_path, capsys, monkeypatch):
     assert payload["summary"]["instants"] == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 1                    # header only
+
+
+def test_run_derivative_overflow_exit_3_writes_partial(tmp_path, capsys):
+    # finite samples, the (0, 0) entry 1.5e306 from t = 0.2: the
+    # derivative estimate overflows mid-run
+    flow = with_jumps(constant_flow(np.diag([1.0, 2.0])),
+                      constant_flow(np.diag([1.5e306, 2.0])),
+                      JumpSchedule([0.2]))
+    path = tmp_path / "overflow.flow"
+    write_flow_file(path, flow, t0=0.0, tau=0.01, count=40)
+    rc = run_cli("run", "--flow", str(path), "--tau", "0.01", "--tf", "0.39",
+                 "--output", str(tmp_path) + "/")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical abort: ||dA||_F is not finite at t=0.2" in err
+    assert "do_startup" not in err
+    payload = load_strict_json(tmp_path / "report.json")
+    assert payload["aborted"] == "||dA||_F is not finite at t=0.2"
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert rows[-1].startswith("0.19,")
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import pytest
 import eigentrack as et
 from eigentrack import densela, znn
 from eigentrack.densela import (AsymmetryError, MatrixShapeError,
-                                bordered_stack, solve_augmented,
-                                solve_batch, solve_bordered, sym_eig_batch)
+                                bordered_stack, solve_batch, solve_bordered,
+                                sym_eig_batch)
 from eigentrack.flows import builtin_flows
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -112,20 +112,25 @@ def test_non_finite_input_rejected(bad):
     stack = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, bad]])])
     with pytest.raises(ValueError, match="matrix 1 "):
         sym_eig_batch(stack)
+    # finite entries whose norm overflows: the overflow the check
+    # detects must not surface first as a warning (an error here)
+    with pytest.raises(ValueError, match="matrix 0 .* overflows"):
+        sym_eig_batch(np.full((1, 3, 3), 1e200))
 
 
-_SOLVE_AUGMENTED = """
+_LEAST_SQUARES = """
 import sys
 import numpy as np
-from eigentrack.densela import solve_augmented
-P, q = np.eye(3), np.ones(3)
+from eigentrack.densela import solve_batch
+# singular, so the system reaches the least-squares fallback
+P, q = np.diag([1.0, 0.0, 1.0]), np.ones(3)
 (P if sys.argv[1] == "P" else q).flat[1] = float(sys.argv[2])
 try:
-    rep = solve_augmented(P, q)
+    rep = solve_batch(P[None], q[None])
 except np.linalg.LinAlgError as exc:
     print("LinAlgError:", exc)
 else:
-    print("returned", rep.method, rep.x)
+    print("returned", rep.lstsq, rep.x)
 """
 
 
@@ -139,7 +144,7 @@ def test_least_squares_rejects_non_finite_input(bad, where):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _SOLVE_AUGMENTED, where, bad], env=env,
+        [sys.executable, "-c", _LEAST_SQUARES, where, bad], env=env,
         capture_output=True, text=True, timeout=30, check=True)
     assert proc.stdout.strip() == (
         f"LinAlgError: least-squares system with a non-finite entry in "
@@ -251,7 +256,7 @@ def test_solve_fallback_rule_holds_where_squared_norms_overflow():
 
 
 def test_solve_augmented_zero_rows():
-    rep = solve_augmented(np.diag([1.0, 0.0]), np.array([3.0, 0.0]))
+    rep = solve_one(np.diag([1.0, 0.0]), np.array([3.0, 0.0]))
     assert rep.method == "least-squares"
     assert rep.x == pytest.approx([3.0, 0.0], abs=1e-12)
     assert rep.rpr < 1e-12
@@ -309,12 +314,33 @@ def test_solve_batch_mixed_keeps_per_system_labels(rng):
         rep = solve_batch(Ps, np.ones((3, 3)))
         assert rep.lstsq.tolist() == [True, middle is bad, True]
         for b in np.flatnonzero(rep.lstsq):
-            assert np.array_equal(rep.x[b],
-                                  solve_augmented(Ps[b], np.ones(3)).x)
+            assert np.array_equal(
+                rep.x[b], np.linalg.lstsq(Ps[b], np.ones(3), rcond=None)[0])
             assert rep.x[b] == pytest.approx([1.0, 0.0, 0.5], abs=1e-12)
             assert rep.rpr[b] < 1e-12
         if middle is good:
             assert np.array_equal(rep.x[1], np.linalg.solve(good, np.ones(3)))
+
+
+def test_fallback_members_take_lstsq_bits_and_the_direct_one_solve_bits(rng):
+    # two singular members around a regular one, in one stack: each
+    # fallback member is numpy.linalg.lstsq's minimum-norm solution with
+    # sigma_min / sigma_max as its indicator, and the direct member keeps
+    # numpy.linalg.solve's bits
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    near = U @ np.diag([3.0, 2.0, 1.0, 1e-14]) @ U.T
+    good = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    Ps = np.stack([np.diag([2.0, 0.0, 1.0, 4.0]), good, near])
+    qs = rng.standard_normal((3, 4))
+    rep = solve_batch(Ps, qs)
+    assert rep.lstsq.tolist() == [True, False, True]
+    for b in (0, 2):
+        x, _, _, sv = np.linalg.lstsq(Ps[b], qs[b], rcond=None)
+        assert np.array_equal(rep.x[b], x)
+        assert rep.rpr[b] == sv[-1] / sv[0]
+        assert rep[b].method == "least-squares"
+    assert np.array_equal(rep.x[1], np.linalg.solve(good, qs[1]))
+    assert rep[1].method == "direct"
 
 
 def test_solve_shape_errors():

@@ -836,3 +836,20 @@ def test_non_finite_abort_leaves_the_queued_instants_scored(monkeypatch,
     partial = info.value.trajectory
     assert partial.kind.count("predicted") == 139
     _assert_scored_alone(smooth7, partial)
+
+
+def test_derivative_overflow_aborts_with_the_partial_trajectory():
+    # every sample is finite, so flow.sample lets the t = 0.2 one
+    # through; the estimate built on it overflows, and the run ends as a
+    # numerical abort naming the instant, not as observe's ValueError
+    flow = with_jumps(constant_flow(np.diag([1.0, 2.0])),
+                      constant_flow(np.diag([1.5e306, 2.0])),
+                      JumpSchedule([0.2]))
+    cfg = SolverConfig(tau=0.01, tf=0.39)
+    with pytest.raises(NumericalAbort,
+                       match=r"\|\|dA\|\|_F is not finite at t=0\.2$") as info:
+        run(flow, cfg)
+    partial = info.value.trajectory
+    assert partial.times[-1] == 0.19
+    assert np.isfinite(partial.z).all()
+    _assert_scored_alone(flow, partial)

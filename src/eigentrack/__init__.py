@@ -26,8 +26,7 @@ from .flows import (FlowFileError, InterpolationError, JumpSchedule,
                     write_flow_file)
 from .formulas import (BackwardFormula, FormulaError, LookaheadRecursion,
                        PRESETS, catalog, check_zero_stability,
-                       complete_recursion, derivative_estimate,
-                       truncation_order)
+                       derivative_estimate)
 from .harness import (BaselineReport, RunReport, SweepReport, build_report,
                       convergence_sweep, naive_baseline, orth_deviation,
                       steady_mask, timed_run)
@@ -43,8 +42,7 @@ __all__ = [
     "conjugate", "constant_flow", "diag_linear_flow", "flow_from_file",
     "with_jumps", "write_flow_file",
     "BackwardFormula", "FormulaError", "LookaheadRecursion", "PRESETS",
-    "catalog", "check_zero_stability", "complete_recursion",
-    "derivative_estimate", "truncation_order",
+    "catalog", "check_zero_stability", "derivative_estimate",
     "BaselineReport", "RunReport", "SweepReport", "build_report",
     "convergence_sweep", "naive_baseline", "orth_deviation",
     "steady_mask", "timed_run",

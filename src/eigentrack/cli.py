@@ -9,8 +9,9 @@ flags; every value has a default, and the defaults reproduce the
 benchmark scenario: the conjugated 7x7 flow with jumps at t=8 and
 t=14.5, and the run parameters of ``SolverConfig()``, which also checks
 them.  Exit codes: 0 clean, 2 configuration error, 3 numerical abort
-(``run`` still writes the partial trajectory; ``converge`` writes
-nothing and names the sampling gap that failed).
+(``run`` still writes the partial trajectory; ``baseline`` and
+``converge`` write nothing, and ``converge`` names the sampling gap that
+failed).
 """
 
 from __future__ import annotations
@@ -364,8 +365,12 @@ def cmd_formulas(as_json: bool) -> int:
 
 def cmd_baseline(cfg: dict, solver: SolverConfig) -> int:
     flow = _resolve_flow(cfg)
-    rep = naive_baseline(flow, tau=solver.tau, t0=solver.t0, tf=solver.tf,
-                         metric=_METRICS[cfg["metric"]])
+    try:
+        rep = naive_baseline(flow, tau=solver.tau, t0=solver.t0,
+                             tf=solver.tf, metric=_METRICS[cfg["metric"]])
+    except NumericalAbort as exc:
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
     prefix = cfg["output"]
     csv_path = _out_path(prefix, "baseline.csv")
     json_path = _out_path(prefix, "report.json")

@@ -7,16 +7,16 @@ Two families live here:
 * convergent look-ahead recursions that advance the stacked eigenpair
   vector, ``z_{k+1} = c * tau * dz_k + sum_j a_j z_{k-j}``.
 
-Coefficients are stored as exact rationals so that consistency and
-truncation-order checks can be done symbolically; they are lowered to
-floats exactly once, when a solver picks the rule up.
+Coefficients are stored as exact rationals, and everything else about a
+rule (a recursion's derivative weight, each rule's truncation order,
+zero stability) is derived from them in exact arithmetic; they are
+lowered to floats exactly once, when a solver picks the rule up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "ZeroStabilityReport",
     "FormulaError",
     "catalog",
-    "complete_recursion",
     "check_zero_stability",
-    "truncation_order",
     "derivative_estimate",
     "PRESETS",
 ]
@@ -51,7 +49,7 @@ def _exactness_degree(weights, offsets, target_d):
         sum w_i * o_i      == target_d
         sum w_i * o_i**k   == 0     for 2 <= k <= p
     """
-    if sum(weights) != 0:
+    if sum(weights) != 0 or not any(weights):   # all zero: no rule at all
         return -1
     if sum(w * o for w, o in zip(weights, offsets)) != target_d:
         return 0
@@ -64,32 +62,19 @@ def _exactness_degree(weights, offsets, target_d):
         p = k
 
 
-def _backward_degree(coeffs, denom) -> int:
-    """Exactness degree of ``sum_j coeffs[j] A(t_{k-j}) / (denom * tau)``."""
-    return _exactness_degree([Fraction(c) for c in coeffs],
-                             [-j for j in range(len(coeffs))], Fraction(denom))
-
-
-def _recursion_order(c, a) -> int:
-    """Truncation order of the recursion with weights c and a (see
-    ``LookaheadRecursion``)."""
-    return 1 + _exactness_degree([Fraction(1)] + [-Fraction(x) for x in a],
-                                 [1] + [-j for j in range(len(a))],
-                                 Fraction(c))
-
-
 @dataclass(frozen=True)
 class BackwardFormula:
     """Derivative estimator using the current sample and earlier ones.
 
     ``coeffs[j]`` weighs the sample ``j`` gaps in the past; the weighted
-    sum is divided by ``denom * tau``.
+    sum is divided by ``denom * tau``.  ``order`` is derived: the largest
+    polynomial degree the rule differentiates exactly, at least 1.
     """
 
     name: str
     coeffs: tuple
     denom: int
-    order: int
+    order: int = field(init=False)
     # coeffs lowered to a float row once; derivative_estimate runs every step
     coeffs_float: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -98,12 +83,14 @@ class BackwardFormula:
         return len(self.coeffs)
 
     def __post_init__(self):
-        got = _backward_degree(self.coeffs, self.denom)
-        if got != self.order:
-            raise FormulaError(
-                f"{self.name}: declared order {self.order}, derived {got}")
+        order = _exactness_degree([Fraction(c) for c in self.coeffs],
+                                  [-j for j in range(self.taps)],
+                                  Fraction(self.denom))
+        if order < 1:
+            raise FormulaError(f"{self.name}: not exact on linear functions")
         row = np.array([float(Fraction(c)) for c in self.coeffs])
         row.flags.writeable = False
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs_float", row)
 
     def weights_float(self):
@@ -115,34 +102,34 @@ class LookaheadRecursion:
     """One-step-ahead update rule for the eigenpair vector.
 
     The tap count is ``len(a)``; ``a[j]`` weighs the state ``j`` steps in
-    the past.  ``order`` is the truncation error order of the full
-    recursion (one more than the exactness degree of the derivative rule
-    it implies, because the derivative enters multiplied by tau).
+    the past, and the weights must sum to 1.  Both other numbers follow
+    from them: first-order consistency forces the derivative weight
+    ``c = 1 + sum_j j*a_j``, and ``order`` is the truncation error order
+    of the full recursion (one more than the exactness degree of the
+    derivative rule it implies, because the derivative enters multiplied
+    by tau).  ``reconstructed`` marks a rule quoted by its weights alone.
     """
 
     name: str
-    c: Fraction
     a: tuple
-    order: int
-    reconstructed: bool = field(default=False)
+    reconstructed: bool = False
+    c: Fraction = field(init=False)
+    order: int = field(init=False)
 
     @property
     def taps(self) -> int:
         return len(self.a)
 
     def __post_init__(self):
-        a = [Fraction(x) for x in self.a]
+        a = tuple(Fraction(x) for x in self.a)
         if sum(a) != 1:
             raise FormulaError(f"{self.name}: state weights must sum to 1")
-        forced = 1 + sum(j * aj for j, aj in enumerate(a))
-        if Fraction(self.c) != forced:
-            raise FormulaError(
-                f"{self.name}: derivative weight {self.c} breaks first-order "
-                f"consistency (forced value {forced})")
-        got = _recursion_order(self.c, a)
-        if got != self.order:
-            raise FormulaError(
-                f"{self.name}: declared order {self.order}, derived {got}")
+        c = 1 + sum(j * aj for j, aj in enumerate(a))
+        order = 1 + _exactness_degree([Fraction(1)] + [-x for x in a],
+                                      [1] + [-j for j in range(len(a))], c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "order", order)
 
     def a_float(self):
         return np.array([float(x) for x in self.a])
@@ -157,7 +144,16 @@ class ZeroStabilityReport:
     root_moduli: tuple
 
 
-_ROOT_TOL = 1e-10
+def _schur_stable(f) -> bool:
+    """Every root of ``f`` (coefficients, highest power first) strictly
+    inside the unit circle, by the Schur-Cohn reduction: that holds iff
+    the constant term is smaller in size than the leading one and it
+    holds for ``(f[0] f(x) - f[-1] x^m f(1/x)) / x``, of one degree less."""
+    while len(f) > 1:
+        if abs(f[-1]) >= abs(f[0]):
+            return False
+        f = [f[0] * x - f[-1] * y for x, y in zip(f, reversed(f))][:-1]
+    return True
 
 
 def check_zero_stability(rec: LookaheadRecursion) -> ZeroStabilityReport:
@@ -165,48 +161,19 @@ def check_zero_stability(rec: LookaheadRecursion) -> ZeroStabilityReport:
 
     The polynomial is ``rho**s - sum_j a_j rho**(s-1-j)``.  Stable means
     exactly one simple root at 1 and every other root strictly inside the
-    unit circle; a repeated root on the circle is rejected.  Roots come
-    from numpy's companion-matrix solver.
+    unit circle; a repeated root on the circle is rejected.  The verdict
+    is exact: the root at 1 (present since the weights sum to 1) is
+    divided out in rationals, the quotient must not vanish at 1 (its
+    value there is ``c``), and the Schur-Cohn reduction places its roots.
+    The moduli are numpy's companion-matrix roots, for display only.
     """
-    s = rec.taps
-    poly = np.zeros(s + 1)
-    poly[0] = 1.0
-    for j, aj in enumerate(rec.a):
-        poly[j + 1] = -float(aj)
-    roots = np.roots(poly)
-    moduli = np.abs(roots)
-    at_one = np.abs(roots - 1.0) <= _ROOT_TOL
-    others_inside = np.all(moduli[~at_one] < 1.0 - _ROOT_TOL)
-    stable = bool(np.count_nonzero(at_one) == 1 and others_inside)
+    q = [Fraction(1)]
+    for aj in rec.a[:-1]:
+        q.append(q[-1] - aj)
+    stable = sum(q) != 0 and _schur_stable(q)
+    poly = np.concatenate(([1.0], -rec.a_float()))
+    moduli = np.abs(np.roots(poly))
     return ZeroStabilityReport(stable=stable, root_moduli=tuple(np.sort(moduli)[::-1]))
-
-
-def complete_recursion(a: Sequence, name: str = "custom") -> LookaheadRecursion:
-    """Build a LookaheadRecursion from state weights alone.
-
-    The derivative weight is not a free choice: first-order consistency
-    forces ``c = 1 + sum_j j*a_j``.  The truncation order is then derived
-    symbolically from the completed rule, whose own checks reject state
-    weights that do not sum to 1.
-    """
-    a = tuple(Fraction(x) for x in a)
-    c = 1 + sum(j * aj for j, aj in enumerate(a))
-    return LookaheadRecursion(name=name, c=c, a=a,
-                              order=_recursion_order(c, a), reconstructed=True)
-
-
-def truncation_order(rule: Union[BackwardFormula, LookaheadRecursion]) -> int:
-    """Symbolically derived truncation order of a cataloged rule.
-
-    For a backward formula this is the largest polynomial degree it
-    differentiates exactly; for a recursion it is that degree plus one.
-    Both are recomputed here rather than read off the declaration.
-    """
-    if isinstance(rule, BackwardFormula):
-        return _backward_degree(rule.coeffs, rule.denom)
-    if isinstance(rule, LookaheadRecursion):
-        return _recursion_order(rule.c, rule.a)
-    raise FormulaError(f"not a cataloged rule type: {type(rule)!r}")
 
 
 def derivative_estimate(f: BackwardFormula, history, tau: float):
@@ -238,28 +205,24 @@ def catalog():
 
     Backward formulas: BDF4pt (order 3) and BDF5pt (order 4).  Look-ahead
     recursions: IFD5, IFD6, IFD7.  IFD7 circulates in state-weight form
-    only, so its derivative weight carries the ``reconstructed`` flag: the
-    value 196/79 is forced by first-order consistency, not quoted.
+    only, so it carries the ``reconstructed`` flag: its derivative weight
+    196/79 is derived as every rule's is, but not quoted in the source.
     """
-    ifd7 = complete_recursion(
-        [_F(-80, 237), _F(182, 237), _F(206, 237),
-         _F(-1, 237), _F(-110, 237), _F(40, 237)],
-        name="IFD7",
-    )
     return {
         "BDF4pt": BackwardFormula("BDF4pt", (_F(11), _F(-18), _F(9), _F(-2)),
-                                  denom=6, order=3),
+                                  denom=6),
         "BDF5pt": BackwardFormula("BDF5pt",
                                   (_F(25), _F(-48), _F(36), _F(-16), _F(3)),
-                                  denom=12, order=4),
+                                  denom=12),
         "IFD5": LookaheadRecursion(
-            "IFD5", c=_F(9, 4),
-            a=(_F(-1, 8), _F(3, 4), _F(5, 8), _F(-1, 4)), order=4),
+            "IFD5", a=(_F(-1, 8), _F(3, 4), _F(5, 8), _F(-1, 4))),
         "IFD6": LookaheadRecursion(
-            "IFD6", c=_F(24, 13),
-            a=(_F(6, 13), _F(2, 13), _F(4, 13), _F(3, 13), _F(-2, 13)),
-            order=4),
-        "IFD7": ifd7,
+            "IFD6", a=(_F(6, 13), _F(2, 13), _F(4, 13), _F(3, 13),
+                       _F(-2, 13))),
+        "IFD7": LookaheadRecursion(
+            "IFD7", a=(_F(-80, 237), _F(182, 237), _F(206, 237),
+                       _F(-1, 237), _F(-110, 237), _F(40, 237)),
+            reconstructed=True),
     }
 
 

@@ -260,7 +260,8 @@ def naive_baseline(flow: MatrixFlow, tau: float, t0: float = SolverConfig.t0,
     log as the predictor (full-matrix scores derived from the log), so
     the comparison isolates the effect of the look-ahead dynamics.  The
     grid is ``SolverConfig``'s, and so are the checks of ``tau``, ``t0``
-    and ``tf``.
+    and ``tf``; a failed eigensolve or a sample whose norm overflows
+    raises ``NumericalAbort``, as in ``run``.
     """
     _check_metric(metric)
     config = SolverConfig(tau=tau, t0=t0, tf=tf)

@@ -68,8 +68,13 @@ class NumericalAbort(RuntimeError):
         self.trajectory = trajectory
 
 
-class _NonFiniteRate(ValueError):
-    """``Tracker.observe``'s error for a NaN or infinite ||dA||_F."""
+class _NonFiniteNorm(ValueError):
+    """A predictor's ``observe`` error for a NaN or infinite norm of what
+    it was fed; ``norm`` names that norm in ``_drive``'s abort."""
+
+    def __init__(self, norm: str, message: str):
+        super().__init__(message)
+        self.norm = norm
 
 
 @dataclass
@@ -414,7 +419,8 @@ class Tracker:
         if not da <= self.threshold:        # NaN and inf included
             self._zn = 0
             if not math.isfinite(da):
-                raise _NonFiniteRate(
+                raise _NonFiniteNorm(
+                    "||dA||_F",
                     f"||dA||_F is {da}: the sample or its derivative "
                     f"estimate is not finite; seed again with do_startup")
             return True, da
@@ -448,6 +454,9 @@ class _Hold:
         return self._z, self._report
 
     def observe(self, A):
+        norm = fro_norm(A)
+        if not math.isfinite(norm):     # finite entries, overflowing norm
+            raise _NonFiniteNorm("||A||_F", f"||A||_F is {norm}")
         (w,), (V,) = sym_eig_batch(A[None])
         lam, self._X = _match_pairs(self._z[:, -1], self._X, w, V)
         self._z = np.column_stack((self._X, lam))
@@ -468,8 +477,9 @@ def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
     and records every instant.  A reported jump discards the in-flight
     prediction and starts the predictor again at the offending instant,
     from its next s* samples.  A non-finite prediction, a failed solve
-    or startup eigensolve and a derivative estimate that overflows (on
-    finite samples) abort with the partial trajectory attached.
+    or eigensolve and a norm that overflows on finite samples (the
+    derivative estimate's; the sample's itself for ``_Hold``) abort with
+    the partial trajectory attached.
 
     The residual log does not feed the next prediction, so predicted
     instants are scored in blocks: each one's sample is copied into a
@@ -547,9 +557,12 @@ def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
             A_new = flow.sample(times.item(knew))
             try:
                 jump, da_norms[knew] = predictor.observe(A_new)
-            except _NonFiniteRate as exc:
-                raise NumericalAbort(f"||dA||_F is not finite at "
+            except _NonFiniteNorm as exc:
+                raise NumericalAbort(f"{exc.norm} is not finite at "
                                      f"t={times[knew]}", partial(k)) from exc
+            except np.linalg.LinAlgError as exc:   # _Hold's eigensolve
+                raise NumericalAbort(f"eigensolver failed at t={times[knew]}: "
+                                     f"{exc}", partial(k)) from exc
             if jump:
                 k = start(knew, _RESTART)
                 continue

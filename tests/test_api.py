@@ -12,9 +12,12 @@ MODULES = ["eigentrack", "eigentrack.cli", "eigentrack.densela",
            "eigentrack.harness", "eigentrack.znn"]
 # the batch calls replace sym_eig, EigenDecomposition and solve;
 # Trajectory.restarts() replaces StepEvent and restart_events(); a run
-# with jump_threshold=inf gives derivative_trace's norms as da_norms
+# with jump_threshold=inf gives derivative_trace's norms as da_norms;
+# a rule derives its gain and order, which complete_recursion and
+# truncation_order re-derived
 REMOVED = ("StepEvent", "restart_events", "derivative_trace", "sym_eig",
-           "EigenDecomposition", "solve", "solve_augmented")
+           "EigenDecomposition", "solve", "solve_augmented",
+           "complete_recursion", "truncation_order")
 
 
 @pytest.mark.parametrize("name", MODULES)

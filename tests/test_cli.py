@@ -233,15 +233,21 @@ def test_run_abort_at_first_instant(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1                    # header only
 
 
-def test_run_derivative_overflow_exit_3_writes_partial(tmp_path, capsys):
-    # finite samples, the (0, 0) entry 1.5e306 from t = 0.2: the
-    # derivative estimate overflows mid-run
+def _overflow_flow_file(tmp_path):
+    """n = 2, tau = 0.01, 40 finite samples whose (0, 0) entry is 1.5e306
+    from t = 0.2: the norm of a sample, and of a derivative estimate
+    across the step, overflows mid-run."""
     flow = with_jumps(constant_flow(np.diag([1.0, 2.0])),
                       constant_flow(np.diag([1.5e306, 2.0])),
                       JumpSchedule([0.2]))
     path = tmp_path / "overflow.flow"
     write_flow_file(path, flow, t0=0.0, tau=0.01, count=40)
-    rc = run_cli("run", "--flow", str(path), "--tau", "0.01", "--tf", "0.39",
+    return str(path)
+
+
+def test_run_derivative_overflow_exit_3_writes_partial(tmp_path, capsys):
+    path = _overflow_flow_file(tmp_path)
+    rc = run_cli("run", "--flow", path, "--tau", "0.01", "--tf", "0.39",
                  "--output", str(tmp_path) + "/")
     assert rc == 3
     err = capsys.readouterr().err
@@ -405,19 +411,40 @@ def test_formulas_text(capsys):
 
 
 def test_formulas_json(capsys):
+    # the derived gains and orders against the values the sources quote,
+    # and the moduli against 40-digit roots of the exact polynomials
     assert run_cli("formulas", "--json") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert [b["name"] for b in payload["backward"]] == ["BDF4pt", "BDF5pt"]
-    recs = {r["name"]: r for r in payload["recursions"]}
-    assert set(recs) == {"IFD5", "IFD6", "IFD7"}
-    assert recs["IFD5"]["c"] == "9/4"
-    assert recs["IFD5"]["reconstructed"] is False
-    assert recs["IFD7"]["c"] == "196/79"
-    assert recs["IFD7"]["reconstructed"] is True
-    assert recs["IFD7"]["order"] == 5
-    for rec in recs.values():
-        assert rec["stable"] is True
-        assert max(rec["root_moduli"]) == pytest.approx(1.0, abs=1e-9)
+    assert payload["backward"] == [
+        {"name": "BDF4pt", "coefficients": ["11", "-18", "9", "-2"],
+         "denominator": 6, "taps": 4, "order": 3},
+        {"name": "BDF5pt", "coefficients": ["25", "-48", "36", "-16", "3"],
+         "denominator": 12, "taps": 5, "order": 4},
+    ]
+    moduli = {
+        "IFD5": [1.0, 0.90250123951217, 0.90250123951217,
+                 0.3069335726902909],
+        "IFD6": [1.0, 0.7604303287661875, 0.7604303287661875,
+                 0.662421347911089, 0.4016367680727526],
+        "IFD7": [1.0, 0.9591400231139729, 0.9591400231139729,
+                 0.9547709507535675, 0.4383532295098761,
+                 0.4383532295098761],
+    }
+    recs = payload["recursions"]
+    for rec in recs:
+        assert rec.pop("root_moduli") == pytest.approx(moduli[rec["name"]],
+                                                      abs=1e-12)
+    assert recs == [
+        {"name": "IFD5", "c": "9/4", "a": ["-1/8", "3/4", "5/8", "-1/4"],
+         "taps": 4, "order": 4, "reconstructed": False, "stable": True},
+        {"name": "IFD6", "c": "24/13",
+         "a": ["6/13", "2/13", "4/13", "3/13", "-2/13"],
+         "taps": 5, "order": 4, "reconstructed": False, "stable": True},
+        {"name": "IFD7", "c": "196/79",
+         "a": ["-80/237", "182/237", "206/237", "-1/237", "-110/237",
+               "40/237"],
+         "taps": 6, "order": 5, "reconstructed": True, "stable": True},
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +468,50 @@ def test_baseline_outputs(tmp_path, capsys):
     assert pair == "1"
     expect = 0.01 / np.hypot(2.0 + 0.01, 5.0)
     assert float(res) == pytest.approx(expect, rel=1e-12)
+
+
+def test_baseline_startup_eigensolve_failure_exits_3_writing_nothing(
+        tmp_path, capsys, monkeypatch):
+    def failing_eigensolver(As):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(znn, "sym_eig_batch", failing_eigensolver)
+    rc = run_cli("baseline", "--flow", "constant3", "--tf", "0.1",
+                 "--output", str(tmp_path) + "/")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical abort: startup eigensolver failed at t=0.0: "
+                   "Eigenvalues did not converge\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_baseline_mid_run_eigensolve_failure_exits_3_naming_t(
+        tmp_path, capsys, monkeypatch):
+    calls, eig = [], znn.sym_eig_batch
+
+    def failing_at_the_third_call(As):
+        calls.append(len(As))
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(As)
+    monkeypatch.setattr(znn, "sym_eig_batch", failing_at_the_third_call)
+    rc = run_cli("baseline", "--flow", "constant3", "--tau", "0.01",
+                 "--tf", "0.1", "--output", str(tmp_path) + "/")
+    assert rc == 3
+    # the startup decomposes t = 0, then one sample per instant
+    assert "numerical abort: eigensolver failed at t=0.02: " in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_baseline_norm_overflow_exits_3_naming_t(tmp_path, capsys):
+    path = _overflow_flow_file(tmp_path)
+    out = tmp_path / "out"
+    rc = run_cli("baseline", "--flow", path, "--tau", "0.01", "--tf", "0.39",
+                 "--output", str(out) + "/")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "numerical abort: ||A||_F is not finite at t=0.2\n"
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

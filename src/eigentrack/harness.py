@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densela import fro_norms, residual
+from .densela import _instant_block, fro_norms, residual
 from .flows import MatrixFlow
 from .znn import (_PREDICTED, _RESTART, SolverConfig, Trajectory, _drive,
                   _Hold, run)
@@ -38,11 +38,6 @@ _TRANSIENT_PAD = 10
 _GLITCH_FACTOR = 1000.0
 # relative residuals at or below this are numerically exact, never glitches
 _GLITCH_FLOOR = 1e-13
-# build_report samples this many instants at a time, so its memory
-# stays bounded on long spans of large matrices
-# (at n = 7, blocks of 256 raised the benchmark's peak RSS by 0.2 MB
-# over scoring one instant at a time, and blocks of 128 by 0.04 MB)
-_BLOCK = 128
 
 
 def _check_metric(metric) -> None:
@@ -191,11 +186,18 @@ def build_report(flow: MatrixFlow, traj: Trajectory,
     orth = np.empty(K1)
     norm_defect = np.empty(K1)     # worst |x^T x - 1| per instant
     # the instants before an abort can be finite yet large enough to
-    # overflow here; they score inf, as in the run's own log, silently
+    # overflow here; they score inf, as in the run's own log, silently.
+    # The blocks are densela's (64 KB of samples at most): blocks of 128
+    # instants took 3.4 MB of scratch at n = 32 and 51 MB at n = 128 over
+    # 400 steps.
+    block = _instant_block(n)
+    samples = np.empty((block, n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, K1, _BLOCK):
-            hi = min(lo + _BLOCK, K1)
-            A = np.stack([flow.sample(float(t)) for t in traj.times[lo:hi]])
+        for lo in range(0, K1, block):
+            hi = min(lo + block, K1)
+            A = samples[:hi - lo]
+            for j, t in enumerate(traj.times[lo:hi].tolist()):
+                A[j] = flow.sample(t)
             Z = traj.z[lo:hi]
             res[lo:hi] = residual(A, Z)
             orth[lo:hi] = orth_deviation(Z)

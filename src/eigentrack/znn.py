@@ -482,12 +482,14 @@ def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
     the partial trajectory attached.
 
     The residual log does not feed the next prediction, so predicted
-    instants are scored in blocks: each one's sample is copied into a
-    queue of at most 128 instants and 64 KB, and the queue is scored by
-    one stacked ``residual`` call when it is full, at the end of the run
-    and before an abort.  The stacked call gives each instant the bits of
-    ``residual(A_k, z_k)`` alone.  The flow is sampled at Python floats,
-    ``times.item(k)``, the same values as the grid's entries.
+    instants are scored in blocks: each one's sample and pairs are
+    copied into a queue of ``densela._instant_block(n)`` instants (at
+    most 128 and 64 KB of samples, the rule of every pass over a run's
+    instants), and the queue is scored by one stacked ``residual`` call
+    when it is full, at the end of the run and before an abort.  The
+    stacked call gives each instant the bits of ``residual(A_k, z_k)``
+    alone.  The flow is sampled at Python floats, ``times.item(k)``, the
+    same values as the grid's entries.
     """
     s_star = predictor.s_star
     n = flow.n
@@ -501,15 +503,19 @@ def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
     residuals = np.full((K + 1, n), np.nan)
     lstsq = np.zeros((K + 1, n), dtype=bool)
     da_norms = np.full(K + 1, np.nan)
-    block = max(1, min(128, 65536 // (8 * n * n)))
+    block = densela._instant_block(n)
+    # the pairs are queued with their samples, so scoring gathers no copy
+    # of them: its scratch then stays under glibc's 128 KB heap-trim
+    # threshold, where with the gather each n = 32 scoring freed the heap
+    # top and faulted it back in, about 100 us on dense-n32
     queue_A = np.empty((block, n, n))
+    queue_Z = np.empty((block, n, n + 1))
     queue_k = np.empty(block, dtype=np.intp)
     queued = 0
 
     def score(m: int):
         if m:
-            ks = queue_k[:m]
-            residuals[ks] = residual(queue_A[:m], Z[ks])
+            residuals[queue_k[:m]] = residual(queue_A[:m], queue_Z[:m])
 
     def partial(upto: int) -> Trajectory:
         score(queued)
@@ -572,6 +578,7 @@ def _drive(flow: MatrixFlow, config: SolverConfig, predictor) -> Trajectory:
             Z[knew] = z
             lstsq[knew] = sol.lstsq
             queue_A[queued] = A_new
+            queue_Z[queued] = z
             queue_k[queued] = knew
             queued += 1
             if queued == block:

@@ -504,6 +504,14 @@ def test_flow_file_numerals_equal_python_float(tmp_path):
     assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
 
+def _past_first_stretch(bad):
+    """140 2 x 2 blocks, identities but for ``bad`` (index: block text):
+    the loader checks 128 blocks of n = 2 at a time, so 127 and 128
+    straddle the first boundary and 130 sits inside the second stretch."""
+    assert flows._instant_block(2) == 128
+    return [bad.get(k, "1 0\n0 1") for k in range(140)]
+
+
 @pytest.mark.parametrize("blocks, message", [
     (["1 0.5\n0 1", "1 0\n0 nan"], "sample block 0 is asymmetric"),
     (["1 0\n0 nan", "1 0.5\n0 1"], "sample block 0 has a non-finite"),
@@ -511,8 +519,22 @@ def test_flow_file_numerals_equal_python_float(tmp_path):
      "sample block 1 has a non-finite"),
     (["1 0\n0 1", "1 0\n0 1", "1 1e-11\n0 1", "1 0\n-inf 1"],
      "sample block 2 is asymmetric"),
+    (_past_first_stretch({130: "1 0.5\n0 1"}),
+     "sample block 130 is asymmetric"),
+    (_past_first_stretch({130: "1 0.5\n0 nan"}),
+     "sample block 130 has a non-finite"),
+    (_past_first_stretch({130: "1 0.5\n0 1", 131: "nan 0\n0 1"}),
+     "sample block 130 is asymmetric"),
+    (_past_first_stretch({130: "1 0\n0 nan", 131: "1 0.5\n0 1"}),
+     "sample block 130 has a non-finite"),
+    (_past_first_stretch({127: "1 0.5\n0 1", 128: "1 0\n0 inf"}),
+     "sample block 127 is asymmetric"),
+    (_past_first_stretch({127: "-inf 0\n0 1", 128: "1 0.5\n0 1"}),
+     "sample block 127 has a non-finite"),
 ], ids=["asymmetric-then-nan", "nan-then-asymmetric", "inf-first",
-        "asymmetric-first"])
+        "asymmetric-first", "asymmetric-130", "both-130",
+        "asymmetric-130-nan-131", "nan-130-asymmetric-131",
+        "asymmetric-127-inf-128", "inf-127-asymmetric-128"])
 def test_flow_file_value_errors_name_the_first_bad_block(tmp_path, blocks,
                                                          message):
     path = tmp_path / "bad.flow"
@@ -526,23 +548,32 @@ def test_flow_file_value_errors_name_the_first_bad_block(tmp_path, blocks,
 def test_flow_file_mirrors_the_upper_triangle(tmp_path):
     # asymmetry below the 1e-12 tolerance is accepted; the lower triangle
     # is then taken from the upper one, so every sample is exactly symmetric
+    # (block 130 is in the loader's second check stretch)
+    near = "1 0.5\n0.5000000000000004 2"
     path = tmp_path / "near.flow"
-    path.write_text("n=2 tau=0.01 t0=0\n1 0\n0 1\n\n"
-                    "1 0.5\n0.5000000000000004 2\n")
+    path.write_text("n=2 tau=0.01 t0=0\n" + "\n\n".join(
+        _past_first_stretch({1: near, 130: near})) + "\n")
     loaded = flow_from_file(path)
     assert np.array_equal(loaded.sample(0.01), [[1.0, 0.5], [0.5, 2.0]])
+    assert np.array_equal(loaded.sample(1.3), [[1.0, 0.5], [0.5, 2.0]])
 
 
 def test_flow_file_load_memory_is_bounded(tmp_path, separated_flow):
-    path = tmp_path / "big.flow"
-    n, count = 24, 150
-    write_flow_file(path, separated_flow(n, 2), t0=0.0, tau=0.01, count=count)
-    sample_bytes = count * n * n * 8
+    # the dense-n32 benchmark's file size: the checks and the mirroring
+    # work a few blocks at a time in place, so the loader holds little
+    # beyond the sample array itself (a full-size copy would be 2x)
+    path = tmp_path / "n32.flow"
+    n, count = 32, 401
+    flow = separated_flow(n, 2)
+    write_flow_file(path, flow, t0=0.0, tau=0.01, count=count)
     tracemalloc.start()
     try:
         loaded = flow_from_file(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 1.25 * count * n * n * 8
     assert loaded.span[1] == pytest.approx(0.01 * (count - 1))
-    assert peak <= 4 * sample_bytes
+    for k in (0, 9, count - 1):
+        assert np.array_equal(loaded.sample(0.01 * k),
+                              flow.sample(0.01 * k))

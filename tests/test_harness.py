@@ -3,12 +3,13 @@ that never restarts."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import eigentrack as et
-from eigentrack import harness
+from eigentrack import densela, harness
 from eigentrack.densela import residual
 from eigentrack.harness import (_median, build_report, convergence_sweep,
                                 naive_baseline, orth_deviation, steady_mask,
@@ -362,7 +363,8 @@ def test_full_matrix_scores_match_the_per_instant_formula(
         scores.append(full_matrix(res, Z))
         return scores[-1]
     monkeypatch.setattr(harness, "_full_matrix", recorded)
-    monkeypatch.setattr(harness, "_BLOCK", 16)
+    # blocks of 16 instants
+    monkeypatch.setattr(densela, "_BLOCK_BYTES", 16 * 8 * n * n)
     rep = build_report(flow, traj, metric="matrix")
     got = np.concatenate(scores)
     want = [_residual_one_instant(A[k], traj.z[k], "matrix")
@@ -380,19 +382,56 @@ def test_full_matrix_scores_match_the_per_instant_formula(
     assert bl.summary["max_residual"] == got.max()
 
 
+@pytest.fixture(scope="module")
+def dense_run(separated_flow):
+    """A 32 x 32 run of 61 instants."""
+    flow = separated_flow(32, 4)
+    return flow, run(flow, SolverConfig(tau=0.01, tf=0.6))
+
+
 @pytest.mark.parametrize("metric", ["pair", "matrix"])
 def test_report_blocks_do_not_change_the_report(monkeypatch, short_run,
-                                                metric):
-    flow, traj = short_run
-    monkeypatch.setattr(harness, "_BLOCK", 10 ** 6)
-    whole = build_report(flow, traj, metric=metric)
-    monkeypatch.setattr(harness, "_BLOCK", 7)
-    blocks = build_report(flow, traj, metric=metric)
-    assert np.array_equal(blocks.residuals, whole.residuals)
-    assert np.array_equal(blocks.orth, whole.orth)
-    assert blocks.summary == whole.summary
-    assert np.array_equal(whole.orth,
-                          [_orth_one_instant(z) for z in traj.z])
+                                                dense_run, metric):
+    # blocks of 7 instants at n = 7 and of 8 at n = 32, where that
+    # budget is the default 64 KB
+    for (flow, traj), block in ((short_run, 7), (dense_run, 8)):
+        n = traj.n
+        with monkeypatch.context() as m:
+            m.setattr(densela, "_BLOCK_INSTANTS", 10 ** 6)
+            m.setattr(densela, "_BLOCK_BYTES", 10 ** 12)
+            whole = build_report(flow, traj, metric=metric)
+        with monkeypatch.context() as m:
+            m.setattr(densela, "_BLOCK_BYTES", block * 8 * n * n)
+            assert densela._instant_block(n) == block
+            blocks = build_report(flow, traj, metric=metric)
+        assert np.array_equal(blocks.residuals, whole.residuals)
+        assert np.array_equal(blocks.orth, whole.orth)
+        assert blocks.summary == whole.summary
+        assert np.array_equal(whole.orth,
+                              [_orth_one_instant(z) for z in traj.z])
+
+
+# the report's traced peak on a short run, whatever n is: its blocks are
+# 64 KB of samples, while blocks of 128 instants would take 128 n^2
+# doubles for each copy (8.4 MB at n = 64)
+_REPORT_SCRATCH = 1 << 20
+
+
+@pytest.mark.parametrize("metric", ["pair", "matrix"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_report_scratch_does_not_grow_with_the_block(separated_flow, n,
+                                                     metric):
+    flow = separated_flow(n, 2)
+    traj = run(flow, SolverConfig(tau=0.01, tf=1.0))
+    flow.sample(0.0)                 # any first-call cache outside the trace
+    tracemalloc.start()
+    try:
+        rep = build_report(flow, traj, metric=metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.summary["instants"] == 101
+    assert peak <= _REPORT_SCRATCH
 
 
 # ----------------------------------------------------------------- baseline
